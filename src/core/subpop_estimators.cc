@@ -104,7 +104,7 @@ SubpopEstimate EstimateSubpopulation(const KeyedKmvSketch& sketch,
     throw std::invalid_argument("realized sampling rate must be in (0, 1]");
   }
   SubpopEstimate out;
-  const std::vector<KeyedKmvSketch::Entry> entries = sketch.Entries();
+  const std::vector<KeyedKmvSketch::Entry>& entries = sketch.Entries();
   if (!sketch.saturated()) {
     // Every distinct kept key is retained: the kept weight is an exact
     // filtered sum, and only the shedding term contributes variance.

@@ -24,29 +24,25 @@ KllSketch::KllSketch(size_t k, uint64_t seed) : k_(k), seed_(seed) {
     throw std::invalid_argument("KLL needs k >= 8");
   }
   levels_.emplace_back();
+  RebuildCapacities();
 }
 
-size_t KllSketch::LevelCapacity(size_t level, size_t num_levels) const {
-  // Geometric decay: the highest level gets k slots, each lower level 2/3
-  // of the one above, floored so low levels never degenerate.
+void KllSketch::RebuildCapacities() {
+  // Geometric decay from the top: the highest level gets k slots, each
+  // lower level 2/3 of the one above, floored so low levels never
+  // degenerate. Level l's capacity is k multiplied by 2/3 once per level
+  // above it, in that order, so its rounding (and every compaction point,
+  // which the serialized bytes pin) depends on k and the level count only.
+  const size_t num_levels = levels_.size();
+  capacities_.resize(num_levels);
+  budget_ = 0;
   double cap = static_cast<double>(k_);
-  for (size_t l = num_levels - 1; l > level; --l) cap *= 2.0 / 3.0;
-  const size_t rounded = static_cast<size_t>(std::ceil(cap));
-  return std::max(kMinLevelCapacity, rounded);
-}
-
-size_t KllSketch::CapacityBudget() const {
-  size_t total = 0;
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    total += LevelCapacity(l, levels_.size());
+  for (size_t l = num_levels; l-- > 0;) {
+    const size_t rounded = static_cast<size_t>(std::ceil(cap));
+    capacities_[l] = std::max(kMinLevelCapacity, rounded);
+    budget_ += capacities_[l];
+    cap *= 2.0 / 3.0;
   }
-  return total;
-}
-
-size_t KllSketch::retained() const {
-  size_t total = 0;
-  for (const auto& level : levels_) total += level.size();
-  return total;
 }
 
 void KllSketch::Update(uint64_t value) {
@@ -60,17 +56,18 @@ void KllSketch::Update(uint64_t value) {
   }
   ++n_;
   levels_[0].push_back(value);
-  CompactIfNeeded();
+  ++retained_;
+  if (retained_ > budget_) CompactIfNeeded();
 }
 
 void KllSketch::CompactIfNeeded() {
-  while (retained() > CapacityBudget()) {
+  while (retained_ > budget_) {
     // Pigeonhole: if every level were within its capacity the total would
     // be within the budget, so an over-capacity level exists; compact the
     // lowest one (cheapest items, keeps the hierarchy shallow).
     size_t target = levels_.size();
     for (size_t l = 0; l < levels_.size(); ++l) {
-      if (levels_[l].size() > LevelCapacity(l, levels_.size())) {
+      if (levels_[l].size() > capacities_[l]) {
         target = l;
         break;
       }
@@ -88,6 +85,7 @@ void KllSketch::CompactLevel(size_t level) {
       throw std::logic_error("KLL level hierarchy overflow");
     }
     levels_.emplace_back();
+    RebuildCapacities();
   }
   std::vector<uint64_t>& buf = levels_[level];
   std::sort(buf.begin(), buf.end());
@@ -108,6 +106,7 @@ void KllSketch::CompactLevel(size_t level) {
   } else {
     buf.clear();
   }
+  retained_ -= even_count / 2;  // half of each compacted pair moved up
   ++compactions_;
   // Each compaction at level l shifts any fixed rank by a zero-mean error
   // of magnitude at most 2^l; account its variance conservatively as 4^l.
@@ -127,11 +126,15 @@ void KllSketch::Merge(const KllSketch& other) {
     min_item_ = std::min(min_item_, other.min_item_);
     max_item_ = std::max(max_item_, other.max_item_);
   }
-  while (levels_.size() < other.levels_.size()) levels_.emplace_back();
+  if (levels_.size() < other.levels_.size()) {
+    levels_.resize(other.levels_.size());
+    RebuildCapacities();
+  }
   for (size_t l = 0; l < other.levels_.size(); ++l) {
     levels_[l].insert(levels_[l].end(), other.levels_[l].begin(),
                       other.levels_[l].end());
   }
+  retained_ += other.retained_;
   n_ += other.n_;
   compactions_ += other.compactions_;
   rank_error_var_ += other.rank_error_var_;
@@ -193,7 +196,9 @@ void KllSketch::LoadState(uint64_t n, uint64_t min_item, uint64_t max_item,
   // per-level counts must account for exactly n observations. This is the
   // single strongest structural check a hostile buffer must pass.
   uint64_t mass = 0;
+  size_t retained = 0;
   for (size_t l = 0; l < levels.size(); ++l) {
+    retained += levels[l].size();
     uint64_t level_mass;
     if (__builtin_mul_overflow(static_cast<uint64_t>(levels[l].size()),
                                uint64_t{1} << l, &level_mass) ||
@@ -219,6 +224,8 @@ void KllSketch::LoadState(uint64_t n, uint64_t min_item, uint64_t max_item,
   compactions_ = compactions;
   rank_error_var_ = rank_error_var;
   levels_ = std::move(levels);
+  retained_ = retained;
+  RebuildCapacities();
 }
 
 }  // namespace sketchsample

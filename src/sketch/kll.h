@@ -66,7 +66,7 @@ class KllSketch {
   uint64_t seed() const { return seed_; }
   uint64_t n() const { return n_; }
   /// Total items currently retained across all levels.
-  size_t retained() const;
+  size_t retained() const { return retained_; }
   uint64_t min_item() const { return min_item_; }
   uint64_t max_item() const { return max_item_; }
   uint64_t compactions() const { return compactions_; }
@@ -83,10 +83,10 @@ class KllSketch {
                  std::vector<std::vector<uint64_t>> levels);
 
  private:
-  /// Capacity of `level` when `num_levels` levels exist: the top level gets
-  /// k slots, each level below 2/3 of the one above, floored at 8.
-  size_t LevelCapacity(size_t level, size_t num_levels) const;
-  size_t CapacityBudget() const;
+  /// Recomputes capacities_ and budget_ for the current level count: the
+  /// top level gets k slots, each level below 2/3 of the one above, floored
+  /// at 8. Called whenever the number of levels changes.
+  void RebuildCapacities();
   void CompactIfNeeded();
   void CompactLevel(size_t level);
 
@@ -98,6 +98,12 @@ class KllSketch {
   uint64_t compactions_ = 0;       // total compaction operations (coin stream)
   double rank_error_var_ = 0;      // sum over compactions of 4^level
   std::vector<std::vector<uint64_t>> levels_;
+  // Caches that keep Update O(1) amortized instead of rescanning the
+  // hierarchy: the item count across levels_, each level's capacity, and
+  // their sum. The capacities depend only on k and levels_.size().
+  size_t retained_ = 0;
+  std::vector<size_t> capacities_;
+  size_t budget_ = 0;
 };
 
 }  // namespace sketchsample

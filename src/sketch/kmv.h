@@ -10,13 +10,18 @@
 // KMV sketches built with the same seed support union (merge the value
 // sets, keep the k smallest), giving distinct counts over unions of
 // streams — the same shard-then-merge deployment as the linear sketches.
+//
+// Both sketches here store their bottom-k set as one ascending vector, not
+// a node-based tree: the engine copies a summary into every snapshot and
+// merges every lane's partial into it, so copy and merge must be O(k)
+// contiguous passes. Once saturated, an update whose hash is above the
+// current threshold (the common case on a long stream) is rejected with a
+// single comparison against back().
 #ifndef SKETCHSAMPLE_SKETCH_KMV_H_
 #define SKETCHSAMPLE_SKETCH_KMV_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 namespace sketchsample {
@@ -47,7 +52,7 @@ class KmvSketch {
   /// Number of hash values currently retained (≤ k).
   size_t retained() const { return minima_.size(); }
   /// The retained minima in ascending order (serialization support).
-  const std::set<uint64_t>& minima() const { return minima_; }
+  const std::vector<uint64_t>& minima() const { return minima_; }
 
   /// Replaces the retained set (deserialization support). `minima` must be
   /// strictly ascending with at most k entries; throws std::invalid_argument
@@ -59,7 +64,7 @@ class KmvSketch {
 
   size_t k_;
   uint64_t seed_;
-  std::set<uint64_t> minima_;  // the retained smallest hash values
+  std::vector<uint64_t> minima_;  // the retained smallest hashes, ascending
 };
 
 /// Bottom-k sketch that retains the *keys* (and their kept-occurrence
@@ -113,7 +118,7 @@ class KeyedKmvSketch {
   size_t retained() const { return entries_.size(); }
   /// Retained entries in ascending hash order (serialization and
   /// estimation support).
-  std::vector<Entry> Entries() const;
+  const std::vector<Entry>& Entries() const { return entries_; }
 
   /// Replaces the retained entries (deserialization support). `entries`
   /// must be strictly ascending by hash with weights >= 1 and at most k
@@ -123,7 +128,7 @@ class KeyedKmvSketch {
  private:
   size_t k_;
   uint64_t seed_;
-  std::map<uint64_t, Entry> entries_;  // keyed by hash, ascending
+  std::vector<Entry> entries_;  // strictly ascending by hash
 };
 
 }  // namespace sketchsample

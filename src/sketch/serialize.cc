@@ -31,13 +31,17 @@ class Writer {
     std::memcpy(bytes_.data() + offset, &value, sizeof(T));
   }
 
+  // The empty cases return early: memcpy from a null data() pointer (an
+  // empty vector) is undefined even for zero bytes.
   void PutDoubles(const double* values, size_t n) {
+    if (n == 0) return;
     const size_t offset = bytes_.size();
     bytes_.resize(offset + n * sizeof(double));
     std::memcpy(bytes_.data() + offset, values, n * sizeof(double));
   }
 
   void PutU64s(const std::vector<uint64_t>& values) {
+    if (values.empty()) return;
     const size_t offset = bytes_.size();
     bytes_.resize(offset + values.size() * sizeof(uint64_t));
     std::memcpy(bytes_.data() + offset, values.data(),
@@ -88,6 +92,7 @@ class Reader {
       throw std::invalid_argument("sketch buffer truncated");
     }
     std::vector<double> values(count);
+    if (count == 0) return values;
     std::memcpy(values.data(), bytes_.data() + pos_,
                 count * sizeof(double));
     pos_ += count * sizeof(double);
@@ -100,6 +105,7 @@ class Reader {
       throw std::invalid_argument("sketch buffer truncated");
     }
     std::vector<uint64_t> values(count);
+    if (count == 0) return values;
     std::memcpy(values.data(), bytes_.data() + pos_,
                 count * sizeof(uint64_t));
     pos_ += count * sizeof(uint64_t);
@@ -238,9 +244,7 @@ std::vector<uint8_t> SerializeSketch(const KmvSketch& sketch) {
   params.scheme = static_cast<XiScheme>(0);
   params.seed = sketch.seed();
   WriteHeader(writer, SketchKind::kKmv, params, sketch.retained());
-  std::vector<uint64_t> minima(sketch.minima().begin(),
-                               sketch.minima().end());
-  writer.PutU64s(minima);
+  writer.PutU64s(sketch.minima());
   return writer.Finish();
 }
 

@@ -1,6 +1,7 @@
 #include "src/stream/shard_engine.h"
 
 #include <algorithm>
+#include <cstddef>
 #include "src/util/atomics_policy.h"
 #include <memory>
 #include <optional>
@@ -500,14 +501,17 @@ void ShardEngine<SketchT>::FoldQuantile(
   // this keeps that sequence "kept stream in position order" no matter how
   // the stream was partitioned — which is the whole bit-exactness argument
   // for quantiles (the fold boundary itself is irrelevant to the result).
+  // A lane receives its chunks in routing order, so each lane's pairs are
+  // already ascending by position: merging the runs replaces a full sort.
   std::vector<std::pair<uint64_t, uint64_t>> ordered;
   ordered.reserve(pending);
   for (const auto& lane : lanes) {
+    const auto mid = static_cast<std::ptrdiff_t>(ordered.size());
     ordered.insert(ordered.end(), lane->qpending.begin(),
                    lane->qpending.end());
     lane->qpending.clear();
+    std::inplace_merge(ordered.begin(), ordered.begin() + mid, ordered.end());
   }
-  std::sort(ordered.begin(), ordered.end());
   for (const auto& pair : ordered) quantile_->Update(pair.second);
   ++stats.quantile_folds;
   SKETCHSAMPLE_METRIC_INC("engine.shard.quantile_folds");

@@ -461,6 +461,58 @@ class RulesTest(unittest.TestCase):
             )
         )
 
+    # ---- node-container-in-hot-path ----
+
+    def test_node_container_fires_in_hot_paths(self):
+        for path in (
+            "src/sketch/kmv.h",
+            "src/stream/shard_engine.cc",
+            "src/service/push_source.h",
+            "src/service/push_source.cc",
+        ):
+            v = self.violations(
+                path,
+                "#include <set>\n"
+                "std::set<uint64_t> a;\n"
+                "std::map<uint64_t, int> b;\n"
+                "std :: deque<uint64_t> c;\n"
+                "std::list<int> d;\n",
+                lint.check_node_container_in_hot_path,
+            )
+            self.assertEqual(
+                [x.rule for x in v], ["node-container-in-hot-path"] * 4, path
+            )
+            self.assertEqual([x.line for x in v], [2, 3, 4, 5], path)
+
+    def test_node_container_ignores_other_files_and_lookalikes(self):
+        self.assertFalse(
+            self.violations(
+                "src/service/service.cc",
+                "std::map<uint64_t, uint64_t> sessions;\n",
+                lint.check_node_container_in_hot_path,
+            )
+        )
+        self.assertFalse(
+            self.violations(
+                "src/sketch/kll.cc",
+                "// the old std::set<uint64_t> storage\n"
+                'const char* s = "std::deque";\n'
+                "std::vector<uint64_t> v; std::unordered_map<int, int> u;\n"
+                "std::setw(4); my::set<int> q; std::list_like x;\n",
+                lint.check_node_container_in_hot_path,
+            )
+        )
+
+    def test_node_container_line_waiver(self):
+        self.assertFalse(
+            self.violations(
+                "src/stream/window.h",
+                "// lint:allow(node-container-in-hot-path): built once\n"
+                "std::map<int, int> table;\n",
+                lint.check_node_container_in_hot_path,
+            )
+        )
+
     # ---- tsan-supp-rationale ----
 
     def write_tsan_supp(self, text):

@@ -55,6 +55,15 @@ keep the estimator algebra reproducible and the batch kernels fast:
                          atomic elsewhere is concurrency the checker
                          cannot see. Harnesses that legitimately drive
                          real threads carry a file-level waiver.
+  node-container-in-hot-path  Node-based containers (``std::set``,
+                         ``std::map``, ``std::multiset``, ``std::multimap``,
+                         ``std::deque``, ``std::list``) are banned in
+                         src/sketch, src/stream and src/service/push_source.*:
+                         summaries are copied into every snapshot and merged
+                         per lane, and the PushSource queue sits on every
+                         ingested tuple, so their storage must be contiguous.
+                         Node-by-node copies, merges and frees there once
+                         cost ~100 ns per offered tuple.
   tsan-supp-rationale    Every suppression entry in tsan.supp must be
                          preceded by a ``# rationale:`` comment naming the
                          third-party component it silences. The file is
@@ -661,6 +670,45 @@ def check_raw_atomic_confined(f: SourceFile) -> list[Violation]:
     return found
 
 
+# --------------------------------------------------------------------------
+# node-container-in-hot-path
+# --------------------------------------------------------------------------
+
+NODE_CONTAINER_PATHS = ("src/sketch/", "src/stream/", "src/service/push_source.")
+NODE_CONTAINER_RE = re.compile(
+    r"\bstd\s*::\s*(set|map|multiset|multimap|deque|list)\b"
+)
+
+
+def check_node_container_in_hot_path(f: SourceFile) -> list[Violation]:
+    """No node-based containers where storage is copied or drained per tuple.
+
+    Bottom-k summaries are copied into every published snapshot and merged
+    from every lane, and PushSource carries every ingested tuple; a node
+    container there pays an allocation, a pointer chase and a free per
+    element on each of those passes. Contiguous storage (a sorted vector, a
+    ring) keeps them O(k) memcpy-friendly passes.
+    """
+    if not f.path.startswith(NODE_CONTAINER_PATHS):
+        return []
+    found = []
+    for m in NODE_CONTAINER_RE.finditer(f.code):
+        lineno = line_of(f.code, m.start())
+        if waived(f.lines, lineno, "node-container-in-hot-path"):
+            continue
+        found.append(
+            Violation(
+                f.path,
+                lineno,
+                "node-container-in-hot-path",
+                f"std::{m.group(1)} in a snapshot/ingest hot path; keep the "
+                "storage contiguous (sorted std::vector, ring buffer) or "
+                "waive with a measured cold-path reason",
+            )
+        )
+    return found
+
+
 CHECKS = [
     check_forbidden_rng,
     check_hot_path_std_function,
@@ -670,6 +718,7 @@ CHECKS = [
     check_simd_intrinsics_confined,
     check_simd_scalar_twin,
     check_raw_atomic_confined,
+    check_node_container_in_hot_path,
 ]
 
 
