@@ -25,7 +25,6 @@
 #include "src/prng/simd/dispatch.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
-#include "src/stream/parallel.h"
 #include "src/util/aligned.h"
 #include "src/util/rng.h"
 
@@ -288,17 +287,6 @@ BENCHMARK(BM_AgmsUpdate)
     ->Args({16, 1})
     ->Args({128, 0})
     ->Args({128, 1});
-
-// Parallel sharded sketching (§VI-C): wall-clock scaling across threads.
-void BM_ParallelFagmsBuild(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ParallelBuildFagms(Stream(), Params(), threads));
-  }
-  state.SetItemsProcessed(state.iterations() * kTuplesPerIteration);
-}
-BENCHMARK(BM_ParallelFagmsBuild)->Arg(1)->Arg(2)->Arg(4);
 
 // The pure sampling front-end without any sketch, to separate sampling cost
 // from sketching cost.

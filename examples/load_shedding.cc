@@ -1,20 +1,18 @@
 // Load shedding (§VI-A): sketch a stream that arrives faster than the
 // sketch can absorb, by shedding tuples with Bernoulli sampling in front of
-// the sketch — using the streaming-pipeline substrate.
+// the sketch.
 //
-// The example builds the pipeline   source -> ShedOperator(p) -> sketch
-// for several shedding rates, measures the achieved throughput, and shows
-// that the corrected estimates stay accurate while the per-tuple work drops
-// roughly like p (with the skip-based path).
+// For several shedding rates the example feeds the stream through a
+// BernoulliSketchEstimator (geometric-skip shedding in front of an F-AGMS
+// sketch), measures the achieved throughput, and shows that the
+// corrected estimates stay accurate while the per-tuple work drops roughly
+// like p (with the skip-based path).
 #include <cstdio>
 #include <vector>
 
 #include "src/core/sketch_over_sample.h"
 #include "src/data/frequency_vector.h"
 #include "src/data/zipf.h"
-#include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
-#include "src/stream/source.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"

@@ -37,57 +37,80 @@ namespace {
 
 constexpr uint64_t kM61 = (1ULL << 61) - 1;
 
+// All-lanes zero-masked forms of the five unmasked intrinsics this file
+// uses. GCC's unmasked forms pass _mm512_undefined_epi32() as the merge
+// source, which -Wmaybe-uninitialized flags at -O1 (the tsan preset); with
+// a full mask the merge source is never read, so these are the same
+// instructions with a defined input and bit-identical results.
+constexpr __mmask8 kAllLanes = 0xFF;
+
+inline __m512i SrliZ(__m512i x, unsigned int n) {
+  return _mm512_maskz_srli_epi64(kAllLanes, x, n);
+}
+inline __m512i SlliZ(__m512i x, unsigned int n) {
+  return _mm512_maskz_slli_epi64(kAllLanes, x, n);
+}
+inline __m512i SrlvZ(__m512i x, __m512i n) {
+  return _mm512_maskz_srlv_epi64(kAllLanes, x, n);
+}
+inline __m512i MinEpu64Z(__m512i a, __m512i b) {
+  return _mm512_maskz_min_epu64(kAllLanes, a, b);
+}
+inline __m512i MulEpu32Z(__m512i a, __m512i b) {
+  return _mm512_maskz_mul_epu32(kAllLanes, a, b);
+}
+
 inline __m512i Fold61Z(__m512i x, __m512i m61) {
-  return _mm512_add_epi64(_mm512_and_si512(x, m61), _mm512_srli_epi64(x, 61));
+  return _mm512_add_epi64(_mm512_and_si512(x, m61), SrliZ(x, 61));
 }
 
 // Lazy mulmod, x < 2^32 (two vpmuludq): h·x = p00 + 2^32·p10.
 inline __m512i MulModSmallZ(__m512i h, __m512i x, __m512i m61,
                             __m512i mask29) {
-  const __m512i p00 = _mm512_mul_epu32(h, x);
-  const __m512i p10 = _mm512_mul_epu32(_mm512_srli_epi64(h, 32), x);
+  const __m512i p00 = MulEpu32Z(h, x);
+  const __m512i p10 = MulEpu32Z(SrliZ(h, 32), x);
   __m512i r = _mm512_add_epi64(_mm512_and_si512(p00, m61),
-                               _mm512_srli_epi64(p00, 61));
+                               SrliZ(p00, 61));
   r = _mm512_add_epi64(r,
-                       _mm512_slli_epi64(_mm512_and_si512(p10, mask29), 32));
-  return _mm512_add_epi64(r, _mm512_srli_epi64(p10, 29));
+                       SlliZ(_mm512_and_si512(p10, mask29), 32));
+  return _mm512_add_epi64(r, SrliZ(p10, 29));
 }
 
 // Lazy mulmod, general x < 2^61 + 7 (four vpmuludq); x1 = x >> 32.
 inline __m512i MulModGenZ(__m512i h, __m512i x, __m512i x1, __m512i m61,
                           __m512i mask29) {
-  const __m512i h1 = _mm512_srli_epi64(h, 32);
-  const __m512i p00 = _mm512_mul_epu32(h, x);
-  const __m512i p01 = _mm512_mul_epu32(h, x1);
-  const __m512i p10 = _mm512_mul_epu32(h1, x);
-  const __m512i p11 = _mm512_mul_epu32(h1, x1);
+  const __m512i h1 = SrliZ(h, 32);
+  const __m512i p00 = MulEpu32Z(h, x);
+  const __m512i p01 = MulEpu32Z(h, x1);
+  const __m512i p10 = MulEpu32Z(h1, x);
+  const __m512i p11 = MulEpu32Z(h1, x1);
   const __m512i m = _mm512_add_epi64(p01, p10);
   __m512i r = _mm512_add_epi64(_mm512_and_si512(p00, m61),
-                               _mm512_srli_epi64(p00, 61));
-  r = _mm512_add_epi64(r, _mm512_slli_epi64(_mm512_and_si512(m, mask29), 32));
-  r = _mm512_add_epi64(r, _mm512_srli_epi64(m, 29));
-  return _mm512_add_epi64(r, _mm512_slli_epi64(p11, 3));
+                               SrliZ(p00, 61));
+  r = _mm512_add_epi64(r, SlliZ(_mm512_and_si512(m, mask29), 32));
+  r = _mm512_add_epi64(r, SrliZ(m, 29));
+  return _mm512_add_epi64(r, SlliZ(p11, 3));
 }
 
 // Canonical [0, p) from a folded value f < 2p: f - p wraps above 2^63 when
 // f < p, so the unsigned min picks the reduced representative.
 inline __m512i CanonZ(__m512i f, __m512i m61) {
-  return _mm512_min_epu64(f, _mm512_sub_epi64(f, m61));
+  return MinEpu64Z(f, _mm512_sub_epi64(f, m61));
 }
 
 // Granlund–Montgomery bucket reduction of canonical g < 2^61: the 64x64
 // mulhi is assembled from four vpmuludq partial products.
 inline __m512i FastModZ(__m512i g, __m512i m0, __m512i m1, __m512i mask32,
                         __m512i dv, unsigned shift) {
-  const __m512i g1 = _mm512_srli_epi64(g, 32);
-  const __m512i t = _mm512_srli_epi64(_mm512_mul_epu32(m0, g), 32);
-  const __m512i u = _mm512_add_epi64(_mm512_mul_epu32(m1, g), t);
-  const __m512i v = _mm512_add_epi64(_mm512_mul_epu32(m0, g1),
+  const __m512i g1 = SrliZ(g, 32);
+  const __m512i t = SrliZ(MulEpu32Z(m0, g), 32);
+  const __m512i u = _mm512_add_epi64(MulEpu32Z(m1, g), t);
+  const __m512i v = _mm512_add_epi64(MulEpu32Z(m0, g1),
                                      _mm512_and_si512(u, mask32));
   const __m512i hi = _mm512_add_epi64(
-      _mm512_add_epi64(_mm512_mul_epu32(m1, g1), _mm512_srli_epi64(u, 32)),
-      _mm512_srli_epi64(v, 32));
-  const __m512i q = _mm512_srli_epi64(hi, static_cast<int>(shift));
+      _mm512_add_epi64(MulEpu32Z(m1, g1), SrliZ(u, 32)),
+      SrliZ(v, 32));
+  const __m512i q = SrliZ(hi, shift);
   return _mm512_sub_epi64(g, _mm512_mullo_epi64(q, dv));
 }
 
@@ -95,20 +118,20 @@ inline __m512i FastModZ(__m512i g, __m512i m0, __m512i m1, __m512i mask32,
 // form of the scalar SignFlipBit63.
 inline __m512i SignFlip63Z(__m512i h, __m512i m61, __m512i one) {
   const __m512i f = Fold61Z(h, m61);
-  return _mm512_slli_epi64(
-      _mm512_xor_si512(f, _mm512_srli_epi64(_mm512_add_epi64(f, one), 61)),
+  return SlliZ(
+      _mm512_xor_si512(f, SrliZ(_mm512_add_epi64(f, one), 61)),
       63);
 }
 
 // Parity of each 64-bit lane, as 0/1 lanes: xor-fold to a nibble, then
 // index the 16-bit parity table 0x6996 with a per-lane variable shift.
 inline __m512i ParityZ(__m512i v, __m512i par16, __m512i nib, __m512i one) {
-  v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 32));
-  v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 16));
-  v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 8));
-  v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 4));
+  v = _mm512_xor_si512(v, SrliZ(v, 32));
+  v = _mm512_xor_si512(v, SrliZ(v, 16));
+  v = _mm512_xor_si512(v, SrliZ(v, 8));
+  v = _mm512_xor_si512(v, SrliZ(v, 4));
   v = _mm512_and_si512(v, nib);
-  return _mm512_and_si512(_mm512_srlv_epi64(par16, v), one);
+  return _mm512_and_si512(SrlvZ(par16, v), one);
 }
 
 uint64_t Gf64MulClmul(uint64_t a, uint64_t b) {
@@ -162,7 +185,7 @@ inline void FusedCompute8(const FusedConstsZ& k, __m512i x, uint64_t* bucket,
   __m512i x1;
   if constexpr (!kSmall) {
     x = Fold61Z(x, k.m61);
-    x1 = _mm512_srli_epi64(x, 32);
+    x1 = SrliZ(x, 32);
   }
   const auto mulmod = [&](__m512i h) {
     if constexpr (kSmall) {
@@ -243,7 +266,7 @@ void Avx512BucketBatch(const BucketParams& hash, const uint64_t* keys,
   for (; i + 8 <= n; i += 8) {
     __m512i x = _mm512_loadu_si512(keys + i);
     x = Fold61Z(x, m61);
-    const __m512i x1 = _mm512_srli_epi64(x, 32);
+    const __m512i x1 = SrliZ(x, 32);
     __m512i g = _mm512_add_epi64(MulModGenZ(av, x, x1, m61, mask29), bv);
     g = CanonZ(Fold61Z(g, m61), m61);
     const __m512i bkt = _mm512_and_si512(
@@ -266,7 +289,7 @@ void Avx512Eh3Sign(uint64_t s, int s0, const uint64_t* keys, size_t n,
   for (; i + 8 <= n; i += 8) {
     const __m512i key = _mm512_loadu_si512(keys + i);
     const __m512i pair_or = _mm512_and_si512(
-        _mm512_or_si512(key, _mm512_srli_epi64(key, 1)), fives);
+        _mm512_or_si512(key, SrliZ(key, 1)), fives);
     const __m512i v =
         _mm512_xor_si512(_mm512_and_si512(sv, key), pair_or);
     _mm512_store_si512(lane, ParityZ(v, par16, nib, one));
@@ -322,7 +345,7 @@ void Avx512Cw2Sign(uint64_t a, uint64_t b, const uint64_t* keys, size_t n,
   for (; i + 8 <= n; i += 8) {
     __m512i x = _mm512_loadu_si512(keys + i);
     x = Fold61Z(x, m61);
-    const __m512i x1 = _mm512_srli_epi64(x, 32);
+    const __m512i x1 = SrliZ(x, 32);
     __m512i h = _mm512_add_epi64(MulModGenZ(av, x, x1, m61, mask29), bv);
     h = CanonZ(Fold61Z(h, m61), m61);
     _mm512_store_si512(lane, h);
@@ -347,7 +370,7 @@ void Avx512Cw4Sign(const uint64_t* c, const uint64_t* keys, size_t n,
   for (; i + 8 <= n; i += 8) {
     __m512i x = _mm512_loadu_si512(keys + i);
     x = Fold61Z(x, m61);
-    const __m512i x1 = _mm512_srli_epi64(x, 32);
+    const __m512i x1 = SrliZ(x, 32);
     __m512i h = _mm512_add_epi64(MulModGenZ(c3v, x, x1, m61, mask29), c2v);
     h = Fold61Z(h, m61);
     h = _mm512_add_epi64(MulModGenZ(h, x, x1, m61, mask29), c1v);

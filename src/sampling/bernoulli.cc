@@ -15,13 +15,6 @@ BernoulliSampler::BernoulliSampler(double p, uint64_t seed)
   }
 }
 
-void BernoulliSampler::SetP(double p) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("Bernoulli p must be in [0, 1]");
-  }
-  p_ = p;
-}
-
 std::vector<uint64_t> BernoulliSampler::Sample(
     const std::vector<uint64_t>& stream) {
   std::vector<uint64_t> out;
@@ -39,15 +32,6 @@ GeometricSkipSampler::GeometricSkipSampler(double p, uint64_t seed)
   if (p <= 0.0 || p > 1.0) {
     throw std::invalid_argument("skip sampler needs p in (0, 1]");
   }
-  log1mp_ = p == 1.0 ? -std::numeric_limits<double>::infinity()
-                     : std::log1p(-p);
-}
-
-void GeometricSkipSampler::SetP(double p) {
-  if (p <= 0.0 || p > 1.0) {
-    throw std::invalid_argument("skip sampler needs p in (0, 1]");
-  }
-  p_ = p;
   log1mp_ = p == 1.0 ? -std::numeric_limits<double>::infinity()
                      : std::log1p(-p);
 }
@@ -80,13 +64,6 @@ PositionalBernoulliSampler::PositionalBernoulliSampler(double p, uint64_t seed)
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument("Bernoulli p must be in [0, 1]");
   }
-}
-
-void PositionalBernoulliSampler::SetP(double p) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("Bernoulli p must be in [0, 1]");
-  }
-  p_ = p;
 }
 
 size_t PositionalBernoulliSampler::KeepBatch(uint64_t base,

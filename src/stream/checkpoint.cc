@@ -99,12 +99,12 @@ class Reader {
   size_t end_ = 0;
 };
 
-void PutRngState(Writer& writer, const Xoshiro256::State& state) {
+void PutRngState(Writer& writer, const std::array<uint64_t, 4>& state) {
   for (uint64_t word : state) writer.Put(word);
 }
 
-Xoshiro256::State GetRngState(Reader& reader) {
-  Xoshiro256::State state{};
+std::array<uint64_t, 4> GetRngState(Reader& reader) {
+  std::array<uint64_t, 4> state{};
   for (auto& word : state) word = reader.Get<uint64_t>();
   return state;
 }
@@ -323,21 +323,6 @@ void FileCheckpointSink::Write(const std::vector<uint8_t>& bytes,
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw std::runtime_error("cannot replace checkpoint file: " + path_);
-  }
-}
-
-void RestorePipelineComponents(const PipelineCheckpoint& cp,
-                               StreamSource& source, ShedOperator* shed,
-                               ShedController* controller) {
-  if (cp.has_shed && shed != nullptr) shed->RestoreState(cp.shed);
-  if (cp.has_controller && controller != nullptr) {
-    controller->RestoreState(cp.controller);
-  }
-  const uint64_t discarded = DiscardTuples(source, cp.source_tuples);
-  if (discarded != cp.source_tuples) {
-    throw CheckpointError(
-        "source ended before the checkpointed position; it is not the "
-        "stream this checkpoint was taken against");
   }
 }
 

@@ -1,4 +1,4 @@
-// Deterministic fault injection for the streaming pipeline.
+// Deterministic fault injection for the streaming ingest path.
 //
 // Robustness claims are only as good as the failure modes they were tested
 // against. This header provides seeded wrappers that inject the faults a
@@ -9,10 +9,10 @@
 // sequence, so a failing test prints its seed and the failure reproduces
 // exactly.
 //
-// Stalls and death interact with the pipeline driver's retry policy
-// (PipelineOptions::stall_retries): a bounded stall is ridden out by
+// Stalls and death interact with the engine router's retry policy
+// (ShardEngineOptions::stall_retries): a bounded stall is ridden out by
 // retrying the pull, while a dead source exhausts the retry budget and the
-// pipeline degrades to a partial answer instead of hanging.
+// engine degrades to a partial answer instead of hanging.
 #ifndef SKETCHSAMPLE_STREAM_FAULTS_H_
 #define SKETCHSAMPLE_STREAM_FAULTS_H_
 
@@ -47,7 +47,7 @@ struct FaultProfile {
   uint64_t stall_pulls = 0;
   /// After emitting this many tuples the source dies: it stalls forever
   /// (0 = never). A dead source is indistinguishable from an unbounded
-  /// stall, which is exactly what the pipeline's retry budget is for.
+  /// stall, which is exactly what the engine's retry budget is for.
   uint64_t die_after = 0;
 
   /// True when any fault can fire.

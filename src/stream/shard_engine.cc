@@ -43,21 +43,6 @@ void UpdateInto(SketchT& sketch, const uint64_t* values, size_t n) {
   }
 }
 
-// Operator facade over a worker's partial sketch, so the fault-injection
-// wrapper (an Operator) can sit between the shed stage and the sketch.
-template <typename SketchT>
-class SketchSinkOp final : public Operator {
- public:
-  explicit SketchSinkOp(SketchT* sketch) : sketch_(sketch) {}
-  void OnTuple(uint64_t value) override { sketch_->Update(value); }
-  void OnTuples(const uint64_t* values, size_t n) override {
-    UpdateInto(*sketch_, values, n);
-  }
-
- private:
-  SketchT* sketch_;
-};
-
 // Deserializes a shard partial as the engine's concrete sketch type
 // (overload set in place of a traits class).
 AgmsSketch DeserializePartial(const AgmsSketch&,
@@ -262,7 +247,10 @@ template <typename SketchT>
 void ShardEngine<SketchT>::Restore(const PipelineCheckpoint& cp,
                                    StreamSource& source) {
   if (!cp.has_shards) {
-    throw CheckpointError("checkpoint has no shard section");
+    throw CheckpointError(
+        "checkpoint has no shard section (written by the RNG-state shed "
+        "pipeline the engine replaced); the positional shed cannot resume "
+        "it, restart the stream");
   }
   SKETCHSAMPLE_METRIC_INC("engine.shard.restores");
   // Validate everything into locals first; engine state mutates only after
@@ -547,7 +535,10 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
     }
     lane.collect_positions = quantile_.has_value();
     if (faulty) {
-      lane.sink = std::make_unique<SketchSinkOp<SketchT>>(&lane.partial);
+      lane.sink = std::make_unique<SinkOperator>(
+          [partial = &lane.partial](const uint64_t* values, size_t n) {
+            UpdateInto(*partial, values, n);
+          });
       lane.faults = std::make_unique<FaultInjectingOperator>(
           lane.sink.get(), *options_.fault_profile,
           MixSeed(options_.fault_seed, static_cast<uint64_t>(s)),
@@ -593,8 +584,8 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   };
 
   // Absolute stream position; window/checkpoint boundaries are phase-locked
-  // to it exactly as in RunPipeline, so a resumed engine makes the same
-  // control decisions at the same offsets as an uninterrupted one.
+  // to it, so a resumed engine makes the same control decisions at the same
+  // offsets as an uninterrupted one.
   uint64_t total = initial_tuples_;
   uint64_t next_window = adaptive ? (total / window + 1) * window : UINT64_MAX;
   uint64_t next_checkpoint =
@@ -615,7 +606,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
                : UINT64_MAX;
   // Window deltas measure against the totals at the last tick: controller
   // totals on a resume (checkpoints need not align with windows), realized
-  // totals otherwise (mirrors RunPipeline's shed-count bases).
+  // totals otherwise.
   uint64_t window_seen_base = 0;
   uint64_t window_kept_base = 0;
   if (adaptive) {
@@ -702,14 +693,12 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
         double capacity = copts.capacity_per_window;
         if (capacity <= 0.0 && copts.target_tps > 0.0) {
           capacity = copts.target_tps * window_timer.ElapsedSeconds();
-        }
-        if (options_.ring_backpressure && capacity > 0.0 &&
-            window_ring_stalls > 0) {
-          // A window that spent a fraction of its routing attempts waiting
-          // on a full ring gets its capacity discounted by that fraction: a
-          // full ring is the sink saying "too fast" just as surely as a
-          // shrunken budget. Spin counts follow real scheduling, so runs
-          // with engaged backpressure are not bit-reproducible.
+          // Wall-clock mode only: a window that spent a fraction of its
+          // routing attempts waiting on a full ring gets its capacity
+          // discounted by that fraction — a full ring is the sink saying
+          // "too fast" just as surely as a shrunken budget. Spin counts
+          // follow real scheduling, so the fixed-budget mode (documented
+          // deterministic) never takes this path.
           const double attempts =
               static_cast<double>(window_chunks + window_ring_stalls);
           capacity *= static_cast<double>(window_chunks) / attempts;

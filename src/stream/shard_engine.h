@@ -1,5 +1,7 @@
-// Sharded multi-threaded ingest engine: the multi-core counterpart of
-// RunPipeline (src/stream/pipeline.h).
+// Sharded multi-threaded ingest engine: the one ingest path that pumps a
+// source through the positional Bernoulli shed stage (§VI-A) into
+// mergeable sketches — behind the CLI's stream/offline commands, the HTTP
+// service and the benchmarks.
 //
 // Topology: one router thread pulls NextChunk batches from the source and
 // deals them round-robin across N worker lanes, each lane a pair of bounded
@@ -21,16 +23,16 @@
 // asserts this).
 //
 // Backpressure: when a lane has no free buffer, the router spins (yield)
-// and counts the event; with ring_backpressure set, the congested fraction
-// of the window discounts the capacity handed to the ShedController, so a
-// full ring reads as "the sink cannot keep up" and shedding stays honest
-// under overload. (The discount follows real scheduling, so adaptive runs
-// with engaged backpressure are not bit-reproducible; disable it or run a
-// fixed p where exact replay matters.)
+// and counts the event. In the controller's wall-clock mode (target_tps)
+// the congested fraction of the window discounts the capacity handed to
+// the ShedController, so a full ring reads as "the sink cannot keep up"
+// and shedding stays honest under overload. A fixed capacity_per_window is
+// never discounted: that mode is documented as deterministic, and the
+// discount follows real scheduling, so kill/resume would diverge.
 //
 // Checkpoint/recovery: at quiesced chunk boundaries (router waits until
 // every routed chunk is processed) the engine snapshots per-shard state —
-// realized counts plus each partial sketch — into the pipeline checkpoint's
+// realized counts plus each partial sketch — into the checkpoint's
 // shard section (src/stream/checkpoint.h, flag bit 2). Restore merges all
 // shard partials into the engine's base sketch, so a kill-and-resume is
 // bit-exact even when the resumed engine runs a different shard count. The
@@ -46,7 +48,6 @@
 
 #include "src/stream/checkpoint.h"
 #include "src/stream/faults.h"
-#include "src/stream/pipeline.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
 
@@ -54,8 +55,8 @@ namespace sketchsample {
 
 /// Configuration for one ShardEngine.
 struct ShardEngineOptions {
-  /// Worker lanes. 1 reproduces the single-shard pipeline (still through
-  /// the ring, so the code path is identical).
+  /// Worker lanes. 1 runs a single worker (still through the ring, so the
+  /// code path is identical at every shard count).
   size_t shards = 1;
   /// Tuples per routed chunk.
   size_t chunk_tuples = kPipelineChunk;
@@ -68,15 +69,16 @@ struct ShardEngineOptions {
   /// streams (MixSeed splits), so every run is a function of this value.
   uint64_t seed = 0;
   /// Adaptive shedding: when set, ticked every options().window_tuples
-  /// routed tuples with the realized (offered, kept) deltas, exactly like
-  /// RunPipeline.
+  /// routed tuples with the realized (offered, kept) deltas. Ring
+  /// congestion discounts the capacity only in the controller's wall-clock
+  /// mode (see file comment).
   ShedController* controller = nullptr;
-  /// Feed ring congestion into the controller's capacity signal (see file
-  /// comment). Only meaningful with a controller.
-  bool ring_backpressure = true;
   /// Stop after this many tuples this run (0 = run to end of stream).
   uint64_t max_tuples = 0;
-  /// Zero-length pulls to ride out while the source stalls (as RunPipeline).
+  /// Zero-length pulls to ride out while the source reports Stalled().
+  /// When the budget is exhausted the run stops with stats.stalled = true
+  /// and engine.shard.stall_deaths counts it; the state built so far stays
+  /// queryable — a dead source degrades the answer, it does not hang.
   uint64_t stall_retries = 64;
   /// Checkpointing: every checkpoint_every tuples (at the next quiesced
   /// chunk boundary), snapshot per-shard state into checkpoint_sink.

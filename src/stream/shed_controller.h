@@ -6,7 +6,7 @@
 // and answer with the provable error of Props 13/14 (Eqs 25/26). A fixed p
 // assumes the operator knows the overload factor in advance; production
 // systems do not (SALSA and friends adapt continuously). The ShedController
-// closes the loop: the pipeline reports per-window (offered, kept) counts,
+// closes the loop: the engine reports per-window (offered, kept) counts,
 // the controller compares kept against the sink's capacity budget and
 // retargets p — proportionally down under overload, additively up when
 // headroom returns (AIMD-style, so rate recovery probes gently while
@@ -41,16 +41,17 @@ struct ShedControllerOptions {
   /// control signal — what the tests and checkpoint-exactness rely on.
   double capacity_per_window = 0.0;
   /// Wall-clock alternative: when capacity_per_window is 0 and this is set,
-  /// the pipeline passes target_tps × measured-window-seconds as the
-  /// capacity. Inherently nondeterministic; bit-exact resume is only
-  /// guaranteed in the fixed-budget mode.
+  /// the engine passes target_tps × measured-window-seconds as the
+  /// capacity, discounted by the window's ring stalls
+  /// (src/stream/shard_engine.h). Inherently nondeterministic; bit-exact
+  /// resume is only guaranteed in the fixed-budget mode.
   double target_tps = 0.0;
   /// Probe p upward only when kept falls below headroom × capacity, so the
   /// controller does not oscillate around the budget.
   double headroom = 0.9;
   /// Additive step for upward probing.
   double increase_step = 0.05;
-  /// Window length in tuples; the pipeline ticks OnWindow at multiples of
+  /// Window length in tuples; the engine ticks OnWindow at multiples of
   /// this many offered tuples.
   uint64_t window_tuples = 8192;
 };

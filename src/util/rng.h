@@ -11,7 +11,6 @@
 #ifndef SKETCHSAMPLE_UTIL_RNG_H_
 #define SKETCHSAMPLE_UTIL_RNG_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -70,15 +69,6 @@ class Xoshiro256 {
   /// Uniform double in [0, 1) with 53 bits of precision.
   double NextDouble() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
-
-  /// The full 256-bit generator state, exposed so stateful processes built
-  /// on the generator (samplers, shed operators) can be checkpointed and
-  /// resumed bit-exactly (src/stream/checkpoint.h).
-  using State = std::array<uint64_t, 4>;
-  State SaveState() const { return {state_[0], state_[1], state_[2], state_[3]}; }
-  void RestoreState(const State& state) {
-    for (size_t i = 0; i < state.size(); ++i) state_[i] = state[i];
   }
 
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).

@@ -17,8 +17,7 @@
 #include "src/sketch/fastcount.h"
 #include "src/sketch/sketch.h"
 #include "src/stream/operators.h"
-#include "src/stream/parallel.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/source.h"
 #include "src/util/metrics.h"
 
@@ -182,12 +181,16 @@ TEST(ParallelBuildTest, MatchesSerialScalarBuildWithCw4) {
   params.seed = 59;
   FagmsSketch serial(params);
   for (uint64_t key : stream) serial.Update(key);
-  const FagmsSketch parallel = ParallelBuildFagms(stream, params, 4);
-  EXPECT_EQ(serial.counters(), parallel.counters());
+  ShardEngineOptions opts;
+  opts.shards = 4;
+  ShardEngine<FagmsSketch> engine(FagmsSketch(params), opts);
+  VectorSource source(stream);
+  engine.Run(source);
+  EXPECT_EQ(serial.counters(), engine.merged().counters());
 }
 
 // ---------------------------------------------------------------------------
-// stream layer: chunked sources, operators, pipeline.
+// stream layer: chunked sources, operators, the engine's chunked shed.
 
 class RecordingOperator final : public Operator {
  public:
@@ -230,40 +233,66 @@ TEST(SourceTest, VectorNextChunkHandlesPartialTail) {
   EXPECT_FALSE(source.Next().has_value());
 }
 
+// Pumps `stream` through `engine` from a fresh source.
+ShardEngineStats ShedChunks(ShardEngine<FagmsSketch>& engine,
+                            const std::vector<uint64_t>& stream) {
+  VectorSource source(stream);
+  return engine.Run(source);
+}
+
+// One worker shedding at `p` in chunks of `chunk` tuples.
+ShardEngineOptions ChunkedShed(double p, uint64_t seed, size_t chunk) {
+  ShardEngineOptions opts;
+  opts.shed_p = p;
+  opts.seed = seed;
+  opts.chunk_tuples = chunk;
+  return opts;
+}
+
+SketchParams ShedParams() {
+  SketchParams params;
+  params.rows = 2;
+  params.buckets = 64;
+  params.seed = 71;
+  return params;
+}
+
 TEST(ShedOperatorTest, BatchKeepAllForwardsWholeChunks) {
-  std::vector<uint64_t> got;
-  SinkOperator sink([&](const uint64_t* values, size_t n) {
-    got.insert(got.end(), values, values + n);
-  });
-  ShedOperator shed(1.0, 71, &sink);
   const std::vector<uint64_t> chunk = {1, 2, 3, 4, 5};
-  shed.OnTuples(chunk.data(), chunk.size());
-  EXPECT_EQ(got, chunk);
-  EXPECT_EQ(shed.forwarded(), 5u);
-  EXPECT_EQ(sink.count(), 5u);
+  FagmsSketch expect(ShedParams());
+  expect.UpdateBatch(chunk);
+  ShardEngine<FagmsSketch> engine(FagmsSketch(ShedParams()),
+                                  ChunkedShed(1.0, 71, 5));
+  const ShardEngineStats stats = ShedChunks(engine, chunk);
+  EXPECT_EQ(stats.chunks, 1u);
+  EXPECT_EQ(engine.total_kept(), 5u);
+  EXPECT_EQ(engine.merged().counters(), expect.counters());
 }
 
 TEST(ShedOperatorTest, BatchKeepNoneForwardsNothing) {
-  SinkOperator sink([](uint64_t) { FAIL() << "p=0 must shed everything"; });
-  ShedOperator shed(0.0, 73, &sink);
-  const std::vector<uint64_t> chunk = {1, 2, 3};
-  shed.OnTuples(chunk.data(), chunk.size());
-  EXPECT_EQ(shed.seen(), 3u);
-  EXPECT_EQ(shed.forwarded(), 0u);
+  ShardEngine<FagmsSketch> engine(FagmsSketch(ShedParams()),
+                                  ChunkedShed(0.0, 73, 3));
+  ShedChunks(engine, {1, 2, 3});
+  EXPECT_EQ(engine.total_seen(), 3u);
+  EXPECT_EQ(engine.total_kept(), 0u);
+  EXPECT_EQ(engine.merged().counters(),
+            FagmsSketch(ShedParams()).counters());
 }
 
 TEST(ShedOperatorTest, BatchKeepsBernoulliFractionAcrossTinyChunks) {
-  // Chunks smaller than typical skips force the carry-over path.
-  SinkOperator sink([](uint64_t) {});
-  ShedOperator shed(0.25, 79, &sink);
+  // Chunks of 7 tuples: the coin is positional, so the kept set (and
+  // hence the sketch) must match the default chunking exactly.
   const std::vector<uint64_t> stream = TestKeys(10000, 100, 83);
-  for (size_t pos = 0; pos < stream.size(); pos += 7) {
-    const size_t n = std::min<size_t>(7, stream.size() - pos);
-    shed.OnTuples(stream.data() + pos, n);
-  }
-  EXPECT_EQ(shed.seen(), 10000u);
-  EXPECT_EQ(shed.forwarded(), sink.count());
-  EXPECT_NEAR(static_cast<double>(shed.forwarded()), 2500.0, 250.0);
+  ShardEngine<FagmsSketch> tiny(FagmsSketch(ShedParams()),
+                                ChunkedShed(0.25, 79, 7));
+  ShardEngine<FagmsSketch> wide(FagmsSketch(ShedParams()),
+                                ChunkedShed(0.25, 79, kPipelineChunk));
+  ShedChunks(tiny, stream);
+  ShedChunks(wide, stream);
+  EXPECT_EQ(tiny.total_seen(), 10000u);
+  EXPECT_NEAR(static_cast<double>(tiny.total_kept()), 2500.0, 250.0);
+  EXPECT_EQ(tiny.total_kept(), wide.total_kept());
+  EXPECT_EQ(tiny.merged().counters(), wide.merged().counters());
 }
 
 TEST(SinkOperatorTest, BatchCallbackHandlesScalarTuples) {
@@ -288,23 +317,13 @@ TEST(PipelineTest, ChunkedPumpCountsChunksAndMatchesScalarSketch) {
   FagmsSketch expect(params);
   for (uint64_t key : stream) expect.Update(key);
 
-  FagmsSketch sketch(params);
-  SinkOperator sink = MakeSketchSink(sketch);
+  ShardEngine<FagmsSketch> engine(FagmsSketch(params), ShardEngineOptions{});
   VectorSource source(stream);
-  const PipelineStats stats = RunPipeline(source, sink);
+  const ShardEngineStats stats = engine.Run(source);
   EXPECT_EQ(stats.tuples, 2500u);
-  EXPECT_EQ(stats.chunks, 3u);  // ceil(2500 / 1024)
-  EXPECT_EQ(sink.count(), 2500u);
-  EXPECT_EQ(sketch.counters(), expect.counters());
-}
-
-TEST(PipelineTest, ScalarFallbackReportsZeroChunks) {
-  VectorSource source(std::vector<uint64_t>(100, 3));
-  SinkOperator sink([](uint64_t) {});
-  const PipelineStats stats = RunPipeline(source, sink, /*chunk_size=*/1);
-  EXPECT_EQ(stats.tuples, 100u);
-  EXPECT_EQ(stats.chunks, 0u);
-  EXPECT_EQ(sink.count(), 100u);
+  EXPECT_EQ(stats.chunks, 3u);  // ceil(2500 / kPipelineChunk)
+  EXPECT_EQ(engine.total_kept(), 2500u);
+  EXPECT_EQ(engine.merged().counters(), expect.counters());
 }
 
 // ---------------------------------------------------------------------------

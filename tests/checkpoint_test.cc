@@ -1,6 +1,6 @@
-// Tests for checkpoint/recovery (src/stream/checkpoint.h): kill-and-resume
-// must be bit-exact for every sketch type, and a corrupt checkpoint must
-// throw CheckpointError — never crash, never load silently.
+// Tests for checkpoint/recovery (src/stream/checkpoint.h): an engine
+// kill-and-resume must be bit-exact for every sketch type, and a corrupt
+// checkpoint must throw CheckpointError — never crash, never load silently.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -8,6 +8,8 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/sketch/agms.h"
@@ -16,8 +18,7 @@
 #include "src/sketch/fastcount.h"
 #include "src/sketch/serialize.h"
 #include "src/stream/checkpoint.h"
-#include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
 #include "src/util/crc32.h"
@@ -26,60 +27,34 @@
 namespace sketchsample {
 namespace {
 
+SketchParams ResumeParams() {
+  SketchParams p;
+  p.rows = 3;
+  p.buckets = 512;
+  p.seed = 33;
+  return p;
+}
+
 template <typename SketchT>
-struct SketchTraits;
-
-template <>
-struct SketchTraits<AgmsSketch> {
-  static AgmsSketch Deserialize(const std::vector<uint8_t>& b) {
-    return DeserializeAgms(b);
-  }
-  static SketchParams Params() {
-    SketchParams p;
+SketchT MakePrototype() {
+  if constexpr (std::is_same_v<SketchT, AgmsSketch>) {
+    SketchParams p = ResumeParams();
     p.rows = 64;
-    p.seed = 33;
-    return p;
+    return AgmsSketch(p);
+  } else {
+    return SketchT(ResumeParams());
   }
-};
+}
 
-template <>
-struct SketchTraits<FagmsSketch> {
-  static FagmsSketch Deserialize(const std::vector<uint8_t>& b) {
-    return DeserializeFagms(b);
-  }
-  static SketchParams Params() {
-    SketchParams p;
-    p.rows = 3;
-    p.buckets = 512;
-    p.seed = 33;
-    return p;
-  }
-};
-
-template <>
-struct SketchTraits<CountMinSketch> {
-  static CountMinSketch Deserialize(const std::vector<uint8_t>& b) {
-    return DeserializeCountMin(b);
-  }
-  static SketchParams Params() { return SketchTraits<FagmsSketch>::Params(); }
-};
-
-template <>
-struct SketchTraits<FastCountSketch> {
-  static FastCountSketch Deserialize(const std::vector<uint8_t>& b) {
-    return DeserializeFastCount(b);
-  }
-  static SketchParams Params() { return SketchTraits<FagmsSketch>::Params(); }
-};
-
-// One adaptive, checkpointing pipeline deployment over a deterministic Zipf
+// One adaptive, checkpointing engine deployment over a deterministic Zipf
 // stream; every run with the same knobs sees the identical stream.
 struct RunResult {
-  std::vector<double> counters;
+  std::vector<uint8_t> merged;  // serialized merged sketch
   uint64_t seen = 0;
-  uint64_t forwarded = 0;
+  uint64_t kept = 0;
   double controller_p = 0;
-  PipelineStats stats;
+  uint64_t controller_windows = 0;
+  ShardEngineStats stats;
   std::vector<uint8_t> last_checkpoint;
 };
 
@@ -94,64 +69,50 @@ ShedControllerOptions ControllerOptions() {
   return copts;
 }
 
-template <typename SketchT>
-RunResult RunWithKill(uint64_t kill_after) {
-  ZipfSource source(1000, 1.0, kCount, 9);
-  SketchT sketch(SketchTraits<SketchT>::Params());
-  SinkOperator sink = MakeSketchSink(sketch);
-  ShedOperator shed(1.0, 13, &sink);
-  ShedController controller(ControllerOptions());
-  SketchSnapshot<SketchT> snapshot(sketch);
-  LatestCheckpointSink ckpt;
+ZipfSource MakeSource() { return ZipfSource(1000, 1.0, kCount, 9); }
 
-  PipelineOptions opts;
-  opts.max_tuples = kill_after;
-  opts.shed = &shed;
+// Runs (or, when `checkpoint_bytes` is non-empty, resumes) the deployment
+// at `shards` workers, stopping after `kill_after` tuples (0 = to the end).
+template <typename SketchT>
+RunResult RunEngine(size_t shards, uint64_t kill_after,
+                    const std::vector<uint8_t>& checkpoint_bytes = {}) {
+  ZipfSource source = MakeSource();  // fresh deterministic rebuild
+  ShedController controller(ControllerOptions());
+  LatestCheckpointSink ckpt;
+  ShardEngineOptions opts;
+  opts.shards = shards;
+  opts.seed = 13;
+  opts.chunk_tuples = 700;  // deliberately misaligned with every boundary
   opts.controller = &controller;
+  opts.max_tuples = kill_after;
   opts.checkpoint_sink = &ckpt;
-  opts.snapshot = &snapshot;
   opts.checkpoint_every = kCheckpointEvery;
+  ShardEngine<SketchT> engine(MakePrototype<SketchT>(), opts);
+  if (!checkpoint_bytes.empty()) {
+    engine.Restore(DeserializeCheckpoint(checkpoint_bytes), source);
+  }
 
   RunResult result;
-  result.stats = RunPipeline(source, shed, opts);
-  result.counters.assign(sketch.counters().begin(),
-                          sketch.counters().end());
-  result.seen = shed.seen();
-  result.forwarded = shed.forwarded();
+  result.stats = engine.Run(source);
+  result.merged = SerializeSketch(engine.merged());
+  result.seen = engine.total_seen();
+  result.kept = engine.total_kept();
   result.controller_p = controller.p();
+  result.controller_windows = controller.windows();
   result.last_checkpoint = ckpt.bytes();
   return result;
 }
 
+// The state a checkpoint restores to, as (merged sketch bytes, seen, kept,
+// p): how two checkpoints written at different shard layouts are compared.
 template <typename SketchT>
-RunResult ResumeFrom(const std::vector<uint8_t>& checkpoint_bytes) {
-  const PipelineCheckpoint cp = DeserializeCheckpoint(checkpoint_bytes);
-  ZipfSource source(1000, 1.0, kCount, 9);  // fresh deterministic rebuild
-  SketchT sketch = SketchTraits<SketchT>::Deserialize(cp.sketch);
-  SinkOperator sink = MakeSketchSink(sketch);
-  ShedOperator shed(1.0, 13, &sink);
-  ShedController controller(ControllerOptions());
-  RestorePipelineComponents(cp, source, &shed, &controller);
-
-  SketchSnapshot<SketchT> snapshot(sketch);
-  LatestCheckpointSink ckpt;
-  PipelineOptions opts;
-  opts.initial_tuples = cp.source_tuples;
-  opts.shed = &shed;
-  opts.controller = &controller;
-  opts.checkpoint_sink = &ckpt;
-  opts.snapshot = &snapshot;
-  opts.checkpoint_every = kCheckpointEvery;
-
-  RunResult result;
-  result.stats = RunPipeline(source, shed, opts);
-  result.counters.assign(sketch.counters().begin(),
-                          sketch.counters().end());
-  result.seen = shed.seen();
-  result.forwarded = shed.forwarded();
-  result.controller_p = controller.p();
-  result.last_checkpoint = ckpt.bytes();
-  return result;
+std::tuple<std::vector<uint8_t>, uint64_t, uint64_t, double> RestoredState(
+    const std::vector<uint8_t>& checkpoint_bytes) {
+  ZipfSource source = MakeSource();
+  ShardEngine<SketchT> engine(MakePrototype<SketchT>(), ShardEngineOptions{});
+  engine.Restore(DeserializeCheckpoint(checkpoint_bytes), source);
+  return {SerializeSketch(engine.merged()), engine.total_seen(),
+          engine.total_kept(), engine.p()};
 }
 
 template <typename SketchT>
@@ -163,30 +124,36 @@ TYPED_TEST_SUITE(CheckpointResumeTest, SketchTypes);
 
 TYPED_TEST(CheckpointResumeTest, KillAndResumeIsBitExact) {
   // Ground truth: one uninterrupted adaptive run.
-  const RunResult full = RunWithKill<TypeParam>(0);
+  const RunResult full = RunEngine<TypeParam>(2, 0);
   ASSERT_TRUE(full.stats.ended);
   ASSERT_EQ(full.stats.checkpoints, kCount / kCheckpointEvery);
+  ASSERT_LT(full.controller_p, 1.0);  // the budget really forced shedding
 
   // Kill mid-stream between two checkpoint boundaries, then resume from the
-  // last checkpoint (taken at 24000) with freshly built components.
-  const RunResult killed = RunWithKill<TypeParam>(29000);
+  // last checkpoint (taken at 24000) in a fresh engine at another shard
+  // count.
+  const RunResult killed = RunEngine<TypeParam>(2, 29000);
   ASSERT_FALSE(killed.stats.ended);  // the cap is a kill, not an end
   ASSERT_FALSE(killed.last_checkpoint.empty());
   ASSERT_EQ(DeserializeCheckpoint(killed.last_checkpoint).source_tuples,
             24000u);
 
-  const RunResult resumed = ResumeFrom<TypeParam>(killed.last_checkpoint);
+  const RunResult resumed =
+      RunEngine<TypeParam>(3, 0, killed.last_checkpoint);
   ASSERT_TRUE(resumed.stats.ended);
 
-  // Bit-exact: identical counters, realized counts, and controller state —
-  // not merely close.
-  EXPECT_EQ(resumed.counters, full.counters);
+  // Bit-exact: identical sketch bytes, realized counts, and controller
+  // state — not merely close.
+  EXPECT_EQ(resumed.merged, full.merged);
   EXPECT_EQ(resumed.seen, full.seen);
-  EXPECT_EQ(resumed.forwarded, full.forwarded);
-  EXPECT_DOUBLE_EQ(resumed.controller_p, full.controller_p);
-  EXPECT_DOUBLE_EQ(resumed.stats.final_p, full.stats.final_p);
-  // The resumed run's own later checkpoints match the uninterrupted run's.
-  EXPECT_EQ(resumed.last_checkpoint, full.last_checkpoint);
+  EXPECT_EQ(resumed.kept, full.kept);
+  EXPECT_EQ(resumed.controller_p, full.controller_p);
+  EXPECT_EQ(resumed.controller_windows, full.controller_windows);
+  EXPECT_EQ(resumed.stats.final_p, full.stats.final_p);
+  // The resumed run's own later checkpoints restore to the same state as
+  // the uninterrupted run's (their per-shard layouts differ).
+  EXPECT_EQ(RestoredState<TypeParam>(resumed.last_checkpoint),
+            RestoredState<TypeParam>(full.last_checkpoint));
 }
 
 TEST(CheckpointFormatTest, RoundtripPreservesEveryField) {
@@ -396,37 +363,6 @@ TEST(CheckpointFormatTest, DistinctFlagRequiresShardSection) {
   EXPECT_THROW(DeserializeCheckpoint(bytes), CheckpointError);
 }
 
-TEST(ShedOperatorStateTest, RestoredOperatorReplaysExactly) {
-  std::vector<uint64_t> first(5000), second(5000);
-  for (size_t i = 0; i < first.size(); ++i) {
-    first[i] = i;
-    second[i] = 100000 + i;
-  }
-  std::vector<uint64_t> out_a, out_b;
-  SinkOperator sink_a([&](uint64_t v) { out_a.push_back(v); });
-  SinkOperator sink_b([&](uint64_t v) { out_b.push_back(v); });
-
-  ShedOperator shed_a(0.3, 55, &sink_a);
-  shed_a.OnTuples(first.data(), first.size());
-  shed_a.SetP(0.7);  // mid-stream retarget is part of the saved state
-  shed_a.OnTuples(first.data(), first.size());
-  const ShedOperatorState state = shed_a.SaveState();
-
-  ShedOperator shed_b(0.3, 55, &sink_b);
-  shed_b.RestoreState(state);
-  EXPECT_EQ(shed_b.seen(), shed_a.seen());
-  EXPECT_EQ(shed_b.p(), shed_a.p());
-
-  shed_a.OnTuples(second.data(), second.size());
-  shed_b.OnTuples(second.data(), second.size());
-  out_a.clear();
-  out_b.clear();
-  shed_a.OnTuples(second.data(), second.size());
-  shed_b.OnTuples(second.data(), second.size());
-  EXPECT_EQ(out_a, out_b);  // identical coin/skip sequences after restore
-  EXPECT_EQ(shed_a.forwarded(), shed_b.forwarded());
-}
-
 TEST(FileCheckpointSinkTest, WritesAtomicallyAndReplaces) {
   const std::string path = testing::TempDir() + "/sketchsample_ckpt.bin";
   FileCheckpointSink sink(path);
@@ -449,14 +385,6 @@ TEST(FileCheckpointSinkTest, UnwritablePathThrows) {
   FileCheckpointSink sink("/nonexistent-dir/ckpt.bin");
   PipelineCheckpoint cp;
   EXPECT_THROW(sink.Write(SerializeCheckpoint(cp), 0), std::runtime_error);
-}
-
-TEST(RestorePipelineComponentsTest, ShortSourceIsRejected) {
-  PipelineCheckpoint cp;
-  cp.source_tuples = 1000;
-  VectorSource source(std::vector<uint64_t>(100, 1));  // too short
-  EXPECT_THROW(RestorePipelineComponents(cp, source, nullptr, nullptr),
-               CheckpointError);
 }
 
 TEST(CheckpointMetricsTest, WriteAndRestoreCountersAdvance) {

@@ -15,6 +15,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+#ifndef SKETCHSAMPLE_GOLDEN_DIR
+#error "SKETCHSAMPLE_GOLDEN_DIR must point at tests/golden"
+#endif
+
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -361,6 +365,32 @@ TEST_F(CliTest, StreamCorruptCheckpointFailsCleanly) {
   EXPECT_NE(
       Run({"stream", "--tuples=1000", "--resume=" + Path("missing.ck")}),
       0);
+}
+
+// Checkpoints of the RNG-state shed pipeline the engine replaced (the golden
+// blobs without a shard section) cannot be replayed by the positional coin:
+// resuming from one must fail with the CheckpointError message, not crash
+// or silently restart.
+TEST_F(CliTest, StreamLegacyCheckpointResumeFailsCleanly) {
+  for (const char* name : {"v1_base.skcp", "v1_shed_controller.skcp"}) {
+    SCOPED_TRACE(name);
+    ::testing::internal::CaptureStderr();
+    const int code =
+        Run({"stream", "--tuples=20000",
+             std::string("--resume=") + SKETCHSAMPLE_GOLDEN_DIR + "/" + name});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(code, 0);
+    EXPECT_NE(err.find("checkpoint has no shard section"), std::string::npos)
+        << err;
+  }
+}
+
+TEST_F(CliTest, StreamRejectsZeroShards) {
+  ::testing::internal::CaptureStderr();
+  const int code = Run({"stream", "--tuples=1000", "--shards=0"});
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(code, 0);
+  EXPECT_NE(err.find("--shards must be >= 1"), std::string::npos) << err;
 }
 
 TEST_F(CliTest, StreamFaultRunsAreSeedDeterministic) {

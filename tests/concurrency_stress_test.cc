@@ -3,11 +3,11 @@
 // bit-exactness — in the regular suites).
 //
 // What is hammered, and why:
-//   * ParallelBuildFagms shares one immutable ξ/hash state across worker
-//     threads via shared_ptr-const (src/stream/parallel.cc); a stray
-//     mutable member in any ξ family would be a silent race that output
-//     statistics cannot reveal (the paper's variance formulas assume exact
-//     sign evaluations).
+//   * ShardEngine workers share one immutable ξ/hash state via
+//     shared_ptr-const copies of the prototype sketch
+//     (src/stream/shard_engine.cc); a stray mutable member in any ξ family
+//     would be a silent race that output statistics cannot reveal (the
+//     paper's variance formulas assume exact sign evaluations).
 //   * Concurrent Merge() reductions: disjoint-pair tree merges are the
 //     pattern distributed aggregation uses; they are race-free only while
 //     sketch copies share no mutable state.
@@ -30,7 +30,6 @@
 #include "src/sketch/fagms.h"
 #include "src/sketch/sketch.h"
 #include "src/stream/checkpoint.h"
-#include "src/stream/parallel.h"
 #include "src/stream/shard_engine.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
@@ -47,8 +46,8 @@ std::vector<uint64_t> MakeStream(size_t n, uint64_t seed, uint64_t domain) {
   return stream;
 }
 
-// Every ξ scheme's const evaluation path runs concurrently inside
-// ParallelBuildFagms; a data race in any family (e.g. an accidentally
+// Every ξ scheme's const evaluation path runs concurrently inside an
+// 8-shard engine build; a data race in any family (e.g. an accidentally
 // cached intermediate) trips TSan here and breaks bit-exactness below.
 TEST(ConcurrencyStressTest, ParallelBuildMatchesSerialForEveryScheme) {
   const std::vector<uint64_t> stream = MakeStream(1 << 15, 42, 1 << 20);
@@ -61,8 +60,12 @@ TEST(ConcurrencyStressTest, ParallelBuildMatchesSerialForEveryScheme) {
     params.seed = 7;
     FagmsSketch serial(params);
     serial.UpdateBatch(stream);
-    const FagmsSketch parallel = ParallelBuildFagms(stream, params, 8);
-    EXPECT_EQ(serial.counters(), parallel.counters())
+    ShardEngineOptions opts;
+    opts.shards = 8;
+    ShardEngine<FagmsSketch> engine(FagmsSketch(params), opts);
+    VectorSource source(stream);
+    ASSERT_TRUE(engine.Run(source).ended);
+    EXPECT_EQ(serial.counters(), engine.merged().counters())
         << "scheme " << static_cast<int>(scheme);
   }
 }
@@ -275,15 +278,15 @@ TEST(ConcurrencyStressTest, ShardEngineRouterWorkersMergerUnderLoad) {
 
 // A shed retarget (controller tick) racing workers that are still draining
 // chunks routed at the old rate, with rings running full the whole time
-// (ring backpressure feeds the congestion back into the controller). The
-// result is scheduling-dependent by design; the assertions are the
-// invariants that must hold under any interleaving.
+// (the wall-clock mode feeds ring congestion back into the controller's
+// capacity). The result is scheduling-dependent by design; the assertions
+// are the invariants that must hold under any interleaving.
 TEST(ConcurrencyStressTest, ShardEngineShedRetargetRacingFullRing) {
   const std::vector<uint64_t> stream = MakeStream(1 << 16, 23, 1 << 12);
 
   ShedControllerOptions copts;
   copts.min_p = 0.05;
-  copts.capacity_per_window = 1000;  // far below offered: constant overload
+  copts.target_tps = 1000;  // far below offered: constant overload
   copts.window_tuples = 4096;
   ShedController controller(copts);
 
@@ -293,7 +296,6 @@ TEST(ConcurrencyStressTest, ShardEngineShedRetargetRacingFullRing) {
   opts.chunk_tuples = 128;
   opts.queue_chunks = 2;
   opts.controller = &controller;
-  opts.ring_backpressure = true;
   ShardEngine<FagmsSketch> engine(FagmsSketch(ShardEngineParams()), opts);
   VectorSource source(stream);
   const ShardEngineStats stats = engine.Run(source);

@@ -9,10 +9,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/sketch/fagms.h"
 #include "src/stream/faults.h"
 #include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/source.h"
+#include "src/util/metrics.h"
 
 namespace sketchsample {
 namespace {
@@ -141,6 +143,29 @@ TEST(FaultInjectingSourceTest, ReorderingPermutesWithinStream) {
   EXPECT_EQ(out, input);  // ...but it is a permutation, nothing lost
 }
 
+// Stalls and death meet the engine router's retry budget
+// (ShardEngineOptions::stall_retries). With nothing shed and no value
+// faults, whatever the engine ingested before it stopped is exactly a
+// prefix of the input, so the merged sketch must equal a serial build over
+// that prefix: a degraded run keeps a correct partial answer.
+FagmsSketch PrefixSketch(const std::vector<uint64_t>& input, uint64_t n) {
+  SketchParams params;
+  params.rows = 3;
+  params.buckets = 64;
+  params.seed = 5;
+  FagmsSketch sketch(params);
+  sketch.UpdateBatch(input.data(), static_cast<size_t>(n));
+  return sketch;
+}
+
+ShardEngineOptions StallOptions(size_t chunk, uint64_t stall_retries) {
+  ShardEngineOptions opts;
+  opts.shards = 2;
+  opts.chunk_tuples = chunk;
+  opts.stall_retries = stall_retries;
+  return opts;
+}
+
 TEST(FaultInjectingSourceTest, BoundedStallIsRiddenOut) {
   FaultProfile profile;
   profile.stall_every = 1000;
@@ -149,52 +174,60 @@ TEST(FaultInjectingSourceTest, BoundedStallIsRiddenOut) {
   VectorSource inner(input);
   FaultInjectingSource source(&inner, profile, kSeed);
 
-  SinkOperator sink([](uint64_t) {});
-  PipelineOptions opts;
-  opts.chunk_size = 256;
-  opts.stall_retries = 8;
-  const PipelineStats stats = RunPipeline(source, sink, opts);
+  ShardEngine<FagmsSketch> engine(PrefixSketch(input, 0),
+                                  StallOptions(256, 8));
+  const ShardEngineStats stats = engine.Run(source);
   EXPECT_TRUE(stats.ended) << "fault seed " << kSeed;
   EXPECT_FALSE(stats.stalled);
   EXPECT_EQ(stats.tuples, input.size());
   EXPECT_GT(stats.stall_retries, 0u);
+  EXPECT_EQ(engine.merged().counters(),
+            PrefixSketch(input, input.size()).counters());
 }
 
 TEST(FaultInjectingSourceTest, ExhaustedRetryBudgetDegradesNotHangs) {
   FaultProfile profile;
   profile.stall_every = 100;
-  profile.stall_pulls = 50;  // longer than the pipeline's patience
-  VectorSource inner(SequentialValues(5000));
+  profile.stall_pulls = 50;  // longer than the engine's patience
+  const std::vector<uint64_t> input = SequentialValues(5000);
+  VectorSource inner(input);
   FaultInjectingSource source(&inner, profile, kSeed);
 
-  SinkOperator sink([](uint64_t) {});
-  PipelineOptions opts;
-  opts.chunk_size = 64;
-  opts.stall_retries = 4;
-  const PipelineStats stats = RunPipeline(source, sink, opts);
+  metrics::SetEnabled(true);
+  auto& deaths =
+      metrics::Registry::Global().GetCounter("engine.shard.stall_deaths");
+  const uint64_t deaths_before = deaths.Get();
+  ShardEngine<FagmsSketch> engine(PrefixSketch(input, 0),
+                                  StallOptions(64, 4));
+  const ShardEngineStats stats = engine.Run(source);
+  metrics::SetEnabled(false);
   EXPECT_TRUE(stats.stalled) << "fault seed " << kSeed;
   EXPECT_FALSE(stats.ended);
+  EXPECT_EQ(deaths.Get(), deaths_before + 1);
   // The partial answer survives: everything emitted before the stall.
-  EXPECT_EQ(sink.count(), stats.tuples);
   EXPECT_GT(stats.tuples, 0u);
+  EXPECT_EQ(engine.total_kept(), stats.tuples);
+  EXPECT_EQ(engine.merged().counters(),
+            PrefixSketch(input, stats.tuples).counters());
 }
 
 TEST(FaultInjectingSourceTest, MidStreamDeathStopsThePipeline) {
   FaultProfile profile;
   profile.die_after = 500;
-  VectorSource inner(SequentialValues(10000));
+  const std::vector<uint64_t> input = SequentialValues(10000);
+  VectorSource inner(input);
   FaultInjectingSource source(&inner, profile, kSeed);
 
-  SinkOperator sink([](uint64_t) {});
-  PipelineOptions opts;
-  opts.chunk_size = 128;
-  opts.stall_retries = 4;
-  const PipelineStats stats = RunPipeline(source, sink, opts);
+  ShardEngine<FagmsSketch> engine(PrefixSketch(input, 0),
+                                  StallOptions(128, 4));
+  const ShardEngineStats stats = engine.Run(source);
   EXPECT_TRUE(stats.stalled) << "fault seed " << kSeed;
   EXPECT_FALSE(stats.ended);  // death is not a clean end of stream
   EXPECT_TRUE(source.dead());
   EXPECT_EQ(stats.tuples, 500u);
-  EXPECT_EQ(sink.count(), 500u);
+  EXPECT_EQ(engine.total_kept(), 500u);
+  EXPECT_EQ(engine.merged().counters(),
+            PrefixSketch(input, 500).counters());
 }
 
 TEST(FaultInjectingSourceTest, ScalarNextMatchesFaultSemantics) {

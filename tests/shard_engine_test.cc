@@ -9,12 +9,16 @@
 //    the adaptive controller in the loop (fixed-budget mode).
 //  - Fault accounting: per-shard fault injection keeps the global
 //    stream.faults.injected counter the exact sum of per-shard counters.
+//  - Parallel build: at p = 1 the merged sketch equals a serial build.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/core/sketch_estimators.h"
+#include "src/data/zipf.h"
 #include "src/sampling/bernoulli.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
@@ -259,8 +263,8 @@ TEST(ShardEngineTest, SecondKillAfterResumeStillCoversWholePrefix) {
   ExpectCountersEqual(uninterrupted.merged(), final_engine.merged(), 0);
 }
 
-// Adaptive mode with the deterministic fixed budget (ring backpressure
-// off): the p trajectory is a pure function of the realized counts, which
+// Adaptive mode with the deterministic fixed budget (ring congestion never
+// discounts it): the p trajectory is a pure function of the realized counts, which
 // are partition-independent — so shard counts must not change the result,
 // and kill-and-resume must replay the same control decisions.
 TEST(ShardEngineTest, AdaptiveFixedBudgetInvariantAcrossShardCounts) {
@@ -279,7 +283,6 @@ TEST(ShardEngineTest, AdaptiveFixedBudgetInvariantAcrossShardCounts) {
   ref_opts.seed = kRootSeed;
   ref_opts.chunk_tuples = 512;
   ref_opts.controller = &reference_controller;
-  ref_opts.ring_backpressure = false;
   ShardEngine<FagmsSketch> reference(proto, ref_opts);
   const ShardEngineStats ref_stats = RunEngine(reference, values);
   EXPECT_GT(ref_stats.windows, 0u);
@@ -313,7 +316,6 @@ TEST(ShardEngineTest, AdaptiveKillAndResumeReplaysControlDecisions) {
     opts.seed = kRootSeed;
     opts.chunk_tuples = 512;
     opts.controller = controller;
-    opts.ring_backpressure = false;
     return opts;
   };
 
@@ -678,6 +680,65 @@ TEST(ShardEngineTest, RestoreRejectsIncompatibleDistinctBlob) {
   ShardEngine<FagmsSketch> engine(FagmsSketch(SmallParams()), opts);
   VectorSource source(MakeStream(100, 1, 10));
   EXPECT_THROW(engine.Restore(cp, source), CheckpointError);
+}
+
+// --- Parallel build at p = 1 ------------------------------------------
+
+// With nothing shed, the engine is the parallel sketch build of §VI-C: the
+// merged sketch must equal a serial build over the whole stream exactly.
+SketchParams ParallelBuildParams() {
+  SketchParams p;
+  p.rows = 3;
+  p.buckets = 512;
+  p.scheme = XiScheme::kEh3;
+  p.seed = 5;
+  return p;
+}
+
+FagmsSketch EngineBuild(const std::vector<uint64_t>& stream,
+                        const SketchParams& params, size_t shards) {
+  ShardEngineOptions opts;
+  opts.shards = shards;
+  ShardEngine<FagmsSketch> engine{FagmsSketch(params), opts};
+  VectorSource source(stream);
+  EXPECT_TRUE(engine.Run(source).ended);
+  EXPECT_EQ(engine.total_kept(), stream.size());
+  return engine.merged();
+}
+
+TEST(ParallelBuildTest, MatchesSerialExactly) {
+  const FrequencyVector f = ZipfFrequencies(1000, 50000, 1.0);
+  const auto stream = f.ToTupleStream();
+  const FagmsSketch serial = BuildFagmsSketch(stream, ParallelBuildParams());
+  for (size_t shards : {2, 3, 4, 8}) {
+    EXPECT_EQ(EngineBuild(stream, ParallelBuildParams(), shards).counters(),
+              serial.counters())
+        << shards << " shards";
+  }
+}
+
+TEST(ParallelBuildTest, SingleThreadAndTinyStreams) {
+  // Fewer tuples than shards: most lanes stay empty and merge as no-ops.
+  const std::vector<uint64_t> tiny = {1, 2, 3};
+  const FagmsSketch serial = BuildFagmsSketch(tiny, ParallelBuildParams());
+  for (size_t shards : {0, 1, 16}) {  // 0 is clamped to one worker
+    EXPECT_EQ(EngineBuild(tiny, ParallelBuildParams(), shards).counters(),
+              serial.counters())
+        << shards << " shards";
+  }
+}
+
+TEST(ParallelBuildTest, EmptyStream) {
+  const FagmsSketch sketch = EngineBuild({}, ParallelBuildParams(), 4);
+  EXPECT_DOUBLE_EQ(sketch.EstimateSelfJoin(), 0.0);
+}
+
+TEST(ParallelBuildTest, EstimatesRemainAccurate) {
+  const FrequencyVector f = ZipfFrequencies(2000, 100000, 1.0);
+  SketchParams params = ParallelBuildParams();
+  params.buckets = 4096;
+  const FagmsSketch sketch = EngineBuild(f.ToTupleStream(), params, 4);
+  EXPECT_LT(std::abs(sketch.EstimateSelfJoin() - f.F2()) / f.F2(), 0.1);
 }
 
 }  // namespace

@@ -14,8 +14,7 @@
 #include "src/data/frequency_vector.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
-#include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
 #include "src/util/rng.h"
@@ -126,17 +125,36 @@ TEST(ShedControllerTest, RealizedEstimatesMatchManualCorrections) {
   EXPECT_DOUBLE_EQ(RealizedJoinEstimate(raw, p, q), raw / (p * q));
 }
 
+// The realized keep rate kept/seen of an engine run (Props 13/14 scale by
+// it, not by the nominal p).
+template <typename SketchT>
+double RealizedRate(const ShardEngine<SketchT>& engine) {
+  return static_cast<double>(engine.total_kept()) /
+         static_cast<double>(engine.total_seen());
+}
+
+// A two-worker engine building AGMS partials behind a fixed-rate
+// positional shed whose coin is seeded by `seed`.
+ShardEngine<AgmsSketch> MakeShedEngine(const SketchParams& params, double p,
+                                       uint64_t seed) {
+  ShardEngineOptions opts;
+  opts.shards = 2;
+  opts.shed_p = p;
+  opts.seed = seed;
+  return ShardEngine<AgmsSketch>(AgmsSketch(params), opts);
+}
+
 // End-to-end §VI-A overload deployment: source -> adaptive shed -> sketch,
 // with the source offering 10x what the sink can absorb. The controller
 // must converge to a steady rate with tail throughput within 10% of the
 // budget, and the answer corrected at the realized rate with an Eq 26
 // interval must cover the exact self-join size.
 struct OverloadRun {
-  uint64_t forwarded = 0;
+  uint64_t kept = 0;
   double final_p = 0;
   double realized_p = 0;
   double raw_selfjoin = 0;
-  PipelineStats stats;
+  ShardEngineStats stats;
 };
 
 OverloadRun RunOverloadPipeline(uint64_t max_tuples) {
@@ -145,9 +163,6 @@ OverloadRun RunOverloadPipeline(uint64_t max_tuples) {
   SketchParams params;
   params.rows = 256;
   params.seed = 31;
-  AgmsSketch sketch(params);
-  SinkOperator sink = MakeSketchSink(sketch);
-  ShedOperator shed(0.3, 41, &sink);
 
   ShedControllerOptions copts;
   copts.initial_p = 0.3;
@@ -156,16 +171,18 @@ OverloadRun RunOverloadPipeline(uint64_t max_tuples) {
   copts.window_tuples = 20000;
   ShedController controller(copts);
 
-  PipelineOptions popts;
-  popts.max_tuples = max_tuples;
-  popts.shed = &shed;
-  popts.controller = &controller;
+  ShardEngineOptions opts;
+  opts.shards = 2;
+  opts.seed = 41;
+  opts.controller = &controller;
+  opts.max_tuples = max_tuples;
+  ShardEngine<AgmsSketch> engine(AgmsSketch(params), opts);
   OverloadRun run;
-  run.stats = RunPipeline(source, shed, popts);
-  run.forwarded = shed.forwarded();
-  run.final_p = shed.p();
-  run.realized_p = shed.realized_rate();
-  run.raw_selfjoin = sketch.EstimateSelfJoin();
+  run.stats = engine.Run(source);
+  run.kept = engine.total_kept();
+  run.final_p = engine.p();
+  run.realized_p = RealizedRate(engine);
+  run.raw_selfjoin = engine.merged().EstimateSelfJoin();
   return run;
 }
 
@@ -187,7 +204,7 @@ TEST(ShedControllerTest, AdaptivePipelineOverloadEndToEnd) {
   // steady tail must sit within 10% of the budget.
   const OverloadRun prefix = RunOverloadPipeline(kCount - 5 * kWindow);
   const double tail_kept_per_window =
-      static_cast<double>(full.forwarded - prefix.forwarded) / 5.0;
+      static_cast<double>(full.kept - prefix.kept) / 5.0;
   EXPECT_NEAR(tail_kept_per_window, kCapacity, 0.1 * kCapacity);
 
   // Honest answer at the realized rate.
@@ -198,7 +215,7 @@ TEST(ShedControllerTest, AdaptivePipelineOverloadEndToEnd) {
   const double truth = fv.F2();
 
   const double estimate = RealizedSelfJoinEstimate(
-      full.raw_selfjoin, full.realized_p, full.forwarded);
+      full.raw_selfjoin, full.realized_p, full.kept);
   const JoinStatistics s = ComputeJoinStatistics(fv, fv);
   const ConfidenceInterval ci =
       RealizedSelfJoinInterval(estimate, s, full.realized_p, 256, 0.99);
@@ -217,17 +234,15 @@ TEST(ShedControllerTest, RealizedRateJoinWithinProp13Bound) {
   SketchParams params;
   params.rows = 256;
   params.seed = 77;
-  AgmsSketch sa(params), sb(params);  // same seed: joinable pair
-
-  SinkOperator sink_a = MakeSketchSink(sa);
-  SinkOperator sink_b = MakeSketchSink(sb);
-  ShedOperator shed_a(0.3, 101, &sink_a);
-  ShedOperator shed_b(0.5, 103, &sink_b);
+  // Same sketch seed: a joinable pair; different shed seeds: independent
+  // samples.
+  ShardEngine<AgmsSketch> engine_a = MakeShedEngine(params, 0.3, 101);
+  ShardEngine<AgmsSketch> engine_b = MakeShedEngine(params, 0.5, 103);
 
   ZipfSource src_a(kDomain, kSkew, kCount, 1);
   ZipfSource src_b(kDomain, kSkew, kCount, 2);
-  RunPipeline(src_a, shed_a);
-  RunPipeline(src_b, shed_b);
+  engine_a.Run(src_a);
+  engine_b.Run(src_b);
 
   std::vector<uint64_t> all_a, all_b;
   ZipfSource mirror_a(kDomain, kSkew, kCount, 1);
@@ -238,15 +253,16 @@ TEST(ShedControllerTest, RealizedRateJoinWithinProp13Bound) {
   const FrequencyVector fb = FrequencyVector::FromStream(all_b, kDomain);
   const double truth = ExactJoinSize(fa, fb);
 
-  const double rp = shed_a.realized_rate();
-  const double rq = shed_b.realized_rate();
+  const double rp = RealizedRate(engine_a);
+  const double rq = RealizedRate(engine_b);
   // Realized rates track the nominal ones but are not equal to them; the
   // estimator must scale by what actually happened.
   EXPECT_NEAR(rp, 0.3, 0.02);
   EXPECT_NEAR(rq, 0.5, 0.02);
 
   const double estimate =
-      RealizedJoinEstimate(sa.EstimateJoin(sb), rp, rq);
+      RealizedJoinEstimate(
+          engine_a.merged().EstimateJoin(engine_b.merged()), rp, rq);
   const JoinStatistics s = ComputeJoinStatistics(fa, fb);
   const double sigma =
       std::sqrt(BernoulliJoinVariance(s, rp, rq, params.rows).Total());
@@ -281,15 +297,14 @@ TEST(ShedControllerTest, Eq26IntervalCoversAcrossSeeds) {
     SketchParams params;
     params.rows = 128;
     params.seed = MixSeed(9000, static_cast<uint64_t>(t));
-    AgmsSketch sketch(params);
-    SinkOperator sink = MakeSketchSink(sketch);
-    ShedOperator shed(kP, MixSeed(9500, static_cast<uint64_t>(t)), &sink);
+    ShardEngine<AgmsSketch> engine =
+        MakeShedEngine(params, kP, MixSeed(9500, static_cast<uint64_t>(t)));
     VectorSource source(all);
-    RunPipeline(source, shed);
+    engine.Run(source);
 
-    const double rp = shed.realized_rate();
+    const double rp = RealizedRate(engine);
     const double estimate = RealizedSelfJoinEstimate(
-        sketch.EstimateSelfJoin(), rp, shed.forwarded());
+        engine.merged().EstimateSelfJoin(), rp, engine.total_kept());
     const ConfidenceInterval ci =
         RealizedSelfJoinInterval(estimate, s, rp, params.rows, 0.95);
     if (truth > ci.low && truth < ci.high) ++covered;

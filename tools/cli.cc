@@ -21,8 +21,6 @@
 #include "src/sketch/serialize.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/faults.h"
-#include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
 #include "src/stream/shard_engine.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
@@ -401,20 +399,96 @@ int CmdRange(int argc, char** argv) {
   return 0;
 }
 
-// The --shards=N path of `stream`: same stream, same honest reporting, but
-// ingested by the multi-threaded ShardEngine — positional Bernoulli
-// shedding (seeded by --shed-seed, identical tuples kept at any shard
-// count), one partial sketch per worker, merged at the end. Checkpoints
-// carry the per-shard section, so a resume may use a different --shards.
-// Faults stay on the pull path (FaultInjectingSource), exactly as in the
-// single-threaded pipeline.
-int RunShardedStream(const Flags& flags, const std::vector<uint64_t>& values,
-                     const SketchParams& params, ShedController* controller) {
+// Runs the streaming ingest end to end through the ShardEngine: source
+// (file or synthetic Zipf) → optional fault injection → positional
+// Bernoulli shed stage (seeded by --shed-seed, optionally retargeted per
+// window by a ShedController) → one F-AGMS partial per worker shard, merged
+// at the end; with periodic checkpoints and checkpoint resume. The shed
+// keeps the same tuples at any shard count, and checkpoints carry the
+// per-shard section, so a resume may use a different --shards. Reports the
+// realized-rate-corrected self-join estimate with its Eq 26 confidence
+// interval alongside the exact answer, so accuracy-vs-load curves fall out
+// of a flag sweep. stdout is a pure function of the flags; the wall-clock
+// rate goes to stderr.
+int CmdStream(int argc, char** argv) {
+  Flags flags;
+  flags.Define("in", "", "dataset file (empty: synthetic zipf stream)");
+  flags.Define("domain", "100000", "zipf: domain size");
+  flags.Define("tuples", "1000000", "zipf: number of tuples");
+  flags.Define("skew", "1.0", "zipf: coefficient");
+  flags.Define("source-seed", "1", "zipf source seed");
+  flags.Define("shed-p", "1", "initial Bernoulli keep-probability");
+  flags.Define("shed-seed", "7", "shed stage randomness seed");
+  flags.Define("shed-budget", "0",
+               "adaptive: kept-tuple budget per window (deterministic)");
+  flags.Define("shed-target-tps", "0",
+               "adaptive: wall-clock kept-tuples/sec target "
+               "(nondeterministic; shed-budget takes precedence)");
+  flags.Define("shed-window", "8192", "controller window in offered tuples");
+  flags.Define("min-p", "0.05", "adaptive floor for the shed rate");
+  flags.Define("checkpoint-every", "0",
+               "checkpoint period in tuples (0 = off)");
+  flags.Define("checkpoint-out", "", "checkpoint file (atomically replaced)");
+  flags.Define("resume", "", "checkpoint file to resume from");
+  flags.Define("fault-profile", "none", "none | mild | harsh");
+  flags.Define("fault-seed", "0",
+               "fault seed (0: SKETCHSAMPLE_FAULT_SEED env or 77)");
+  flags.Define("stall-retries", "64",
+               "zero-length pulls to ride out before degrading");
+  flags.Define("max-tuples", "0",
+               "stop after this many tuples (0 = run to end; simulates a "
+               "mid-stream kill for checkpoint testing)");
+  flags.Define("shards", "1",
+               "worker shards of the ingest engine (>= 1); the positional "
+               "shed keyed by --shed-seed keeps the same tuples at any count");
+  flags.Define("level", "0.95", "confidence level for the error bars");
+  DefineSketchFlags(flags);
+  if (!flags.Parse(argc, argv)) return 1;
+  if (flags.GetInt("shards") < 1) {
+    std::fprintf(stderr,
+                 "stream: --shards must be >= 1 (the single-threaded "
+                 "pipeline that --shards=0 selected no longer exists; "
+                 "--shards=1 runs one engine worker)\n");
+    return 1;
+  }
+
+  // Materialize the input stream: exact statistics (for the honest error
+  // bars and the printed exact answer) need the full frequency vector, and
+  // a VectorSource over deterministic contents is what makes checkpoint
+  // resume from a separate process reconstruct the same stream.
+  std::vector<uint64_t> values;
+  if (!flags.GetString("in").empty()) {
+    values = ReadValuesFile(flags.GetString("in"));
+  } else {
+    ZipfSampler sampler(static_cast<size_t>(flags.GetInt("domain")),
+                        flags.GetDouble("skew"));
+    Xoshiro256 rng(flags.GetInt("source-seed"));
+    values = sampler.Stream(static_cast<size_t>(flags.GetInt("tuples")), rng);
+  }
+  if (values.empty()) {
+    std::fprintf(stderr, "stream: input stream is empty\n");
+    return 1;
+  }
+
+  const SketchParams params = SketchParamsFromFlags(flags);
+  const double budget = flags.GetDouble("shed-budget");
+  const double target_tps = flags.GetDouble("shed-target-tps");
+  std::optional<ShedController> controller;
+  if (budget > 0.0 || target_tps > 0.0) {
+    ShedControllerOptions copts;
+    copts.initial_p = flags.GetDouble("shed-p");
+    copts.min_p = flags.GetDouble("min-p");
+    copts.capacity_per_window = budget;
+    copts.target_tps = target_tps;
+    copts.window_tuples = static_cast<uint64_t>(flags.GetInt("shed-window"));
+    controller.emplace(copts);  // validates the knobs, throws on nonsense
+  }
+
   ShardEngineOptions eopts;
   eopts.shards = static_cast<size_t>(flags.GetInt("shards"));
   eopts.shed_p = flags.GetDouble("shed-p");
   eopts.seed = static_cast<uint64_t>(flags.GetInt("shed-seed"));
-  eopts.controller = controller;
+  eopts.controller = controller ? &*controller : nullptr;
   eopts.max_tuples = static_cast<uint64_t>(flags.GetInt("max-tuples"));
   eopts.stall_retries = static_cast<uint64_t>(flags.GetInt("stall-retries"));
 
@@ -450,6 +524,8 @@ int RunShardedStream(const Flags& flags, const std::vector<uint64_t>& values,
 
   const ShardEngineStats stats = engine.Run(*source);
 
+  // Honest reporting for the adaptive run: correct at the realized rate
+  // (Props 13/14) and widen the interval per Eq 26 evaluated there.
   const FrequencyVector f = FrequencyVector::FromStream(values);
   const JoinStatistics join_stats = ComputeJoinStatistics(f, f);
   const double realized_p =
@@ -476,174 +552,7 @@ int RunShardedStream(const Flags& flags, const std::vector<uint64_t>& values,
                   controller ? controller->windows() : stats.windows));
   std::printf("checkpoints %llu\n",
               static_cast<unsigned long long>(stats.checkpoints));
-  std::printf("tps         %.17g\n", stats.TuplesPerSecond());
-  if (profile.Active()) {
-    std::printf("faults      %llu\n",
-                static_cast<unsigned long long>(faulty->faults_injected()));
-    std::printf("fault_seed  %llu\n",
-                static_cast<unsigned long long>(fault_seed));
-  }
-  std::printf("estimate    %.17g\n", estimate);
-  std::printf("exact       %.17g\n", ExactSelfJoinSize(f));
-  std::printf("ci          %.17g %.17g\n", ci.low, ci.high);
-  std::printf("outcome     %s\n", stats.ended     ? "ended"
-                                  : stats.stalled ? "stalled"
-                                                  : "stopped");
-  return 0;
-}
-
-// Runs the robust streaming pipeline end to end: source (file or synthetic
-// Zipf) → optional fault injection → Bernoulli shed stage (optionally
-// retargeted per window by a ShedController) → F-AGMS sketch sink, with
-// periodic checkpoints and checkpoint resume. Reports the realized-rate-
-// corrected self-join estimate with its Eq 26 confidence interval alongside
-// the exact answer, so accuracy-vs-load curves fall out of a flag sweep.
-int CmdStream(int argc, char** argv) {
-  Flags flags;
-  flags.Define("in", "", "dataset file (empty: synthetic zipf stream)");
-  flags.Define("domain", "100000", "zipf: domain size");
-  flags.Define("tuples", "1000000", "zipf: number of tuples");
-  flags.Define("skew", "1.0", "zipf: coefficient");
-  flags.Define("source-seed", "1", "zipf source seed");
-  flags.Define("shed-p", "1", "initial Bernoulli keep-probability");
-  flags.Define("shed-seed", "7", "shed stage randomness seed");
-  flags.Define("shed-budget", "0",
-               "adaptive: kept-tuple budget per window (deterministic)");
-  flags.Define("shed-target-tps", "0",
-               "adaptive: wall-clock kept-tuples/sec target "
-               "(nondeterministic; shed-budget takes precedence)");
-  flags.Define("shed-window", "8192", "controller window in offered tuples");
-  flags.Define("min-p", "0.05", "adaptive floor for the shed rate");
-  flags.Define("checkpoint-every", "0",
-               "checkpoint period in tuples (0 = off)");
-  flags.Define("checkpoint-out", "", "checkpoint file (atomically replaced)");
-  flags.Define("resume", "", "checkpoint file to resume from");
-  flags.Define("fault-profile", "none", "none | mild | harsh");
-  flags.Define("fault-seed", "0",
-               "fault seed (0: SKETCHSAMPLE_FAULT_SEED env or 77)");
-  flags.Define("stall-retries", "64",
-               "zero-length pulls to ride out before degrading");
-  flags.Define("max-tuples", "0",
-               "stop after this many tuples (0 = run to end; simulates a "
-               "mid-stream kill for checkpoint testing)");
-  flags.Define("shards", "0",
-               "worker shards for the multi-threaded engine (0 = classic "
-               "single-threaded pipeline; N >= 1 routes through ShardEngine "
-               "with positional shedding keyed by --shed-seed)");
-  flags.Define("level", "0.95", "confidence level for the error bars");
-  DefineSketchFlags(flags);
-  if (!flags.Parse(argc, argv)) return 1;
-
-  // Materialize the input stream: exact statistics (for the honest error
-  // bars and the printed exact answer) need the full frequency vector, and
-  // a VectorSource over deterministic contents is what makes checkpoint
-  // resume from a separate process reconstruct the same stream.
-  std::vector<uint64_t> values;
-  if (!flags.GetString("in").empty()) {
-    values = ReadValuesFile(flags.GetString("in"));
-  } else {
-    ZipfSampler sampler(static_cast<size_t>(flags.GetInt("domain")),
-                        flags.GetDouble("skew"));
-    Xoshiro256 rng(flags.GetInt("source-seed"));
-    values = sampler.Stream(static_cast<size_t>(flags.GetInt("tuples")), rng);
-  }
-  if (values.empty()) {
-    std::fprintf(stderr, "stream: input stream is empty\n");
-    return 1;
-  }
-
-  const SketchParams params = SketchParamsFromFlags(flags);
-  const double shed_p = flags.GetDouble("shed-p");
-  const double budget = flags.GetDouble("shed-budget");
-  const double target_tps = flags.GetDouble("shed-target-tps");
-  const bool adaptive = budget > 0.0 || target_tps > 0.0;
-
-  std::optional<ShedController> controller;
-  if (adaptive) {
-    ShedControllerOptions copts;
-    copts.initial_p = shed_p;
-    copts.min_p = flags.GetDouble("min-p");
-    copts.capacity_per_window = budget;
-    copts.target_tps = target_tps;
-    copts.window_tuples = static_cast<uint64_t>(flags.GetInt("shed-window"));
-    controller.emplace(copts);  // validates the knobs, throws on nonsense
-  }
-
-  if (flags.GetInt("shards") > 0) {
-    return RunShardedStream(flags, values, params,
-                            controller ? &*controller : nullptr);
-  }
-
-  // Resume: restore the sketch from the checkpoint blob; shed/controller
-  // states are restored below, after the source exists to fast-forward.
-  const std::string resume_path = flags.GetString("resume");
-  PipelineCheckpoint cp;
-  const bool resuming = !resume_path.empty();
-  if (resuming) cp = DeserializeCheckpoint(ReadBinaryFile(resume_path));
-  FagmsSketch sketch = resuming && !cp.sketch.empty()
-                           ? DeserializeFagms(cp.sketch)
-                           : FagmsSketch(params);
-  SinkOperator sink = MakeSketchSink(sketch);
-  ShedOperator shed(shed_p, flags.GetInt("shed-seed"), &sink);
-
-  VectorSource vector_source(values);
-  StreamSource* source = &vector_source;
-  const FaultProfile profile =
-      FaultProfile::FromName(flags.GetString("fault-profile"));
-  uint64_t fault_seed = static_cast<uint64_t>(flags.GetInt("fault-seed"));
-  if (fault_seed == 0) fault_seed = FaultSeedFromEnv(77);
-  std::optional<FaultInjectingSource> faulty;
-  if (profile.Active()) {
-    faulty.emplace(&vector_source, profile, fault_seed);
-    source = &*faulty;
-  }
-  if (resuming) {
-    RestorePipelineComponents(cp, *source, &shed,
-                              controller ? &*controller : nullptr);
-  }
-
-  PipelineOptions opts;
-  opts.max_tuples = static_cast<uint64_t>(flags.GetInt("max-tuples"));
-  opts.initial_tuples = resuming ? cp.source_tuples : 0;
-  opts.stall_retries = static_cast<uint64_t>(flags.GetInt("stall-retries"));
-  opts.shed = &shed;  // also snapshotted by checkpoints in fixed-p mode
-  if (adaptive) opts.controller = &*controller;
-  const std::string checkpoint_out = flags.GetString("checkpoint-out");
-  const uint64_t checkpoint_every =
-      static_cast<uint64_t>(flags.GetInt("checkpoint-every"));
-  std::optional<FileCheckpointSink> checkpoint_sink;
-  SketchSnapshot<FagmsSketch> snapshot(sketch);
-  if (checkpoint_every > 0 && !checkpoint_out.empty()) {
-    checkpoint_sink.emplace(checkpoint_out);
-    opts.checkpoint_sink = &*checkpoint_sink;
-    opts.snapshot = &snapshot;
-    opts.checkpoint_every = checkpoint_every;
-  }
-
-  const PipelineStats stats = RunPipeline(*source, shed, opts);
-
-  // Honest reporting for the adaptive run: correct at the realized rate
-  // (Props 13/14) and widen the interval per Eq 26 evaluated there.
-  const FrequencyVector f = FrequencyVector::FromStream(values);
-  const JoinStatistics join_stats = ComputeJoinStatistics(f, f);
-  const double realized_p = shed.realized_rate();
-  const double estimate = RealizedSelfJoinEstimate(
-      sketch.EstimateSelfJoin(), realized_p, shed.forwarded());
-  const ConfidenceInterval ci =
-      RealizedSelfJoinInterval(estimate, join_stats, realized_p,
-                               params.buckets, flags.GetDouble("level"));
-
-  std::printf("tuples      %llu\n",
-              static_cast<unsigned long long>(shed.seen()));
-  std::printf("kept        %llu\n",
-              static_cast<unsigned long long>(shed.forwarded()));
-  std::printf("realized_p  %.17g\n", realized_p);
-  std::printf("final_p     %.17g\n", stats.final_p);
-  std::printf("windows     %llu\n",
-              static_cast<unsigned long long>(
-                  controller ? controller->windows() : stats.windows));
-  std::printf("checkpoints %llu\n",
-              static_cast<unsigned long long>(stats.checkpoints));
+  std::fprintf(stderr, "tps         %.17g\n", stats.TuplesPerSecond());
   if (profile.Active()) {
     std::printf("faults      %llu\n",
                 static_cast<unsigned long long>(faulty->faults_injected()));

@@ -348,8 +348,8 @@ def check_batch_kernel_modulo(f: SourceFile) -> list[Violation]:
 # --------------------------------------------------------------------------
 
 # Per-directory mutator vocabularies. src/sketch mutates counters; the
-# src/stream operator/source layer mutates per-tuple pipeline state (shed
-# decisions, fault injection, controller windows) and must stay just as
+# src/stream operator/source layer mutates per-tuple ingest state (source
+# pulls, fault injection, controller windows) and must stay just as
 # observable in production. The shard engine's entry points mutate the
 # merged sketch and checkpoint/controller state across worker threads, so
 # they carry the same obligation; its scope is listed first because prefix
