@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "src/core/confidence.h"
 #include "src/data/frequency_vector.h"
@@ -41,6 +43,16 @@ Moments4 ResolveMoments(const std::optional<StreamMoments>& exact,
   m.m3 = m.m2 * m.m2 / m.m1;
   m.m4 = m.m2 > 0.0 ? m.m3 * m.m3 / m.m2 : 0.0;
   return m;
+}
+
+// The f-side moments of a JoinStatistics, from resolved moments.
+JoinStatistics FSide(const Moments4& f) {
+  JoinStatistics stats;
+  stats.f1 = f.m1;
+  stats.f2 = f.m2;
+  stats.f3 = f.m3;
+  stats.f4 = f.m4;
+  return stats;
 }
 
 void SetCommonFields(JsonValue& body, const char* endpoint,
@@ -93,11 +105,7 @@ JsonValue SelfJoinResponseJson(const ServiceSnapshot& snapshot,
       p > 0.0 ? RealizedSelfJoinEstimate(raw, p, snapshot.kept) : 0.0;
   const Moments4 f = ResolveMoments(
       moments_f, static_cast<double>(snapshot.position), estimate);
-  JoinStatistics stats;
-  stats.f1 = f.m1;
-  stats.f2 = f.m2;
-  stats.f3 = f.m3;
-  stats.f4 = f.m4;
+  JoinStatistics stats = FSide(f);
   const ConfidenceInterval ci =
       p > 0.0 ? RealizedSelfJoinInterval(estimate, stats, p,
                                          snapshot.sketch.buckets(), level)
@@ -138,11 +146,7 @@ JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
     g.m3 = g.m1 > 0.0 ? g.m2 * g.m2 / g.m1 : 0.0;
     g.m4 = g.m2 > 0.0 ? g.m3 * g.m3 / g.m2 : 0.0;
   }
-  JoinStatistics stats;
-  stats.f1 = f.m1;
-  stats.f2 = f.m2;
-  stats.f3 = f.m3;
-  stats.f4 = f.m4;
+  JoinStatistics stats = FSide(f);
   stats.g1 = g.m1;
   stats.g2 = g.m2;
   stats.g3 = g.m3;
@@ -184,11 +188,7 @@ JsonValue PointResponseJson(const ServiceSnapshot& snapshot, uint64_t key,
       moments_f, static_cast<double>(snapshot.position), f2_estimate);
   // A point query is a size-of-join against the singleton relation {key}:
   // g1 = g2 = g3 = g4 = 1 exactly (Prop 13 with q = 1).
-  JoinStatistics stats;
-  stats.f1 = f.m1;
-  stats.f2 = f.m2;
-  stats.f3 = f.m3;
-  stats.f4 = f.m4;
+  JoinStatistics stats = FSide(f);
   stats.g1 = stats.g2 = stats.g3 = stats.g4 = 1.0;
   const double fg = std::max(estimate, 0.0);
   stats.fg = fg;
@@ -260,12 +260,13 @@ JsonValue QuantileResponseJson(const ServiceSnapshot& snapshot, double q,
                         (p * static_cast<double>(snapshot.position)));
     }
     const double eps_total = eps_sketch + eps_sampling;
-    estimate = static_cast<double>(kll.EstimateQuantile(q));
-    // Value-space interval: re-query the sketch at the rank bounds.
-    ci.low = static_cast<double>(
-        kll.EstimateQuantile(std::max(0.0, q - eps_total)));
-    ci.high = static_cast<double>(
-        kll.EstimateQuantile(std::min(1.0, q + eps_total)));
+    // Value-space interval: re-query the sketch at the rank bounds, all
+    // three ranks from one sorted view.
+    const std::vector<uint64_t> values = kll.EstimateQuantiles(
+        {q, std::max(0.0, q - eps_total), std::min(1.0, q + eps_total)});
+    estimate = static_cast<double>(values[0]);
+    ci.low = static_cast<double>(values[1]);
+    ci.high = static_cast<double>(values[2]);
   }
   body.Set("estimate", JsonValue::Number(estimate));
   JsonValue rank_error = JsonValue::Object();
@@ -321,6 +322,7 @@ JsonValue SubpopResponseJson(const ServiceSnapshot& snapshot,
 // SketchService
 // ---------------------------------------------------------------------------
 
+// The estimate endpoints lead: they index queries_ (see HandleStats).
 enum class SketchService::Endpoint {
   kSelfJoin,
   kJoin,
@@ -352,12 +354,8 @@ class SketchService::Publisher final : public ShardSnapshotHook<FagmsSketch> {
  public:
   explicit Publisher(RcuCell<ServiceSnapshot>* registry)
       : registry_(registry) {}
-  void Publish(ShardEngineSnapshot<FagmsSketch> snapshot) override {
-    auto view = std::make_unique<ServiceSnapshot>(ServiceSnapshot{
-        std::move(snapshot.sketch), std::move(snapshot.distinct),
-        std::move(snapshot.quantile), std::move(snapshot.subpop),
-        snapshot.position, snapshot.kept, snapshot.sequence, snapshot.p});
-    registry_->Publish(std::move(view));
+  void Publish(ServiceSnapshot snapshot) override {
+    registry_->Publish(std::make_unique<ServiceSnapshot>(std::move(snapshot)));
     SKETCHSAMPLE_METRIC_INC("service.snapshots.published");
   }
 
@@ -390,11 +388,7 @@ SketchService::SketchService(const SketchServiceOptions& options)
 SketchService::~SketchService() { Stop(); }
 
 void SketchService::PublishEngineState() {
-  auto view = std::make_unique<ServiceSnapshot>(ServiceSnapshot{
-      engine_->merged(), engine_->distinct(), engine_->quantile(),
-      engine_->subpop(), engine_->total_seen(), engine_->total_kept(), 0,
-      engine_->p()});
-  registry_.Publish(std::move(view));
+  registry_.Publish(std::make_unique<ServiceSnapshot>(engine_->Snapshot()));
 }
 
 void SketchService::Register(Router& router) {
@@ -562,22 +556,14 @@ HttpResponse SketchService::HandleStats(const RequestContext& context) {
   if (!error.empty()) body.Set("ingest_error", JsonValue::String(error));
   body.Set("snapshots_published",
            JsonValue::Number(static_cast<double>(registry_.published())));
+  // The estimate endpoints, in Endpoint order (the index into queries_).
+  static constexpr const char* kQueryNames[] = {
+      "selfjoin", "join", "point", "distinct", "quantile", "subpop"};
   JsonValue queries = JsonValue::Object();
-  queries.Set("selfjoin",
-              JsonValue::Number(static_cast<double>(
-                  queries_selfjoin_.load(MemOrder::kRelaxed))));
-  queries.Set("join", JsonValue::Number(static_cast<double>(
-                          queries_join_.load(MemOrder::kRelaxed))));
-  queries.Set("point", JsonValue::Number(static_cast<double>(
-                           queries_point_.load(MemOrder::kRelaxed))));
-  queries.Set("distinct",
-              JsonValue::Number(static_cast<double>(
-                  queries_distinct_.load(MemOrder::kRelaxed))));
-  queries.Set("quantile",
-              JsonValue::Number(static_cast<double>(
-                  queries_quantile_.load(MemOrder::kRelaxed))));
-  queries.Set("subpop", JsonValue::Number(static_cast<double>(
-                            queries_subpop_.load(MemOrder::kRelaxed))));
+  for (size_t i = 0; i < std::size(kQueryNames); ++i) {
+    queries.Set(kQueryNames[i], JsonValue::Number(static_cast<double>(
+                                    queries_[i].load(MemOrder::kRelaxed))));
+  }
   body.Set("queries", std::move(queries));
   body.Set("degraded_answers",
            JsonValue::Number(static_cast<double>(
@@ -711,9 +697,12 @@ HttpResponse SketchService::Handle(Endpoint endpoint,
     SKETCHSAMPLE_METRIC_INC("service.degraded_answers");
   }
 
+  // Only the estimate endpoints get here; each counts once it answers.
+  StdAtomics::Atomic<uint64_t>& answered =
+      queries_[static_cast<size_t>(endpoint)];
   switch (endpoint) {
     case Endpoint::kSelfJoin: {
-      queries_selfjoin_.fetch_add(1, MemOrder::kRelaxed);
+      answered.fetch_add(1, MemOrder::kRelaxed);
       SKETCHSAMPLE_METRIC_INC("service.query.selfjoin");
       return JsonResponse(200,
                           SelfJoinResponseJson(*guard, options_.moments_f,
@@ -724,7 +713,7 @@ HttpResponse SketchService::Handle(Endpoint endpoint,
         return ErrorResponse(
             400, "no join reference sketch configured (serve --join-sketch)");
       }
-      queries_join_.fetch_add(1, MemOrder::kRelaxed);
+      answered.fetch_add(1, MemOrder::kRelaxed);
       SKETCHSAMPLE_METRIC_INC("service.query.join");
       return JsonResponse(
           200, JoinResponseJson(*guard, *reference_, options_.moments_f,
@@ -737,7 +726,7 @@ HttpResponse SketchService::Handle(Endpoint endpoint,
         return ErrorResponse(400,
                              "point query requires ?key=<unsigned decimal>");
       }
-      queries_point_.fetch_add(1, MemOrder::kRelaxed);
+      answered.fetch_add(1, MemOrder::kRelaxed);
       SKETCHSAMPLE_METRIC_INC("service.query.point");
       return JsonResponse(200, PointResponseJson(*guard, key,
                                                  options_.moments_f, level,
@@ -748,7 +737,7 @@ HttpResponse SketchService::Handle(Endpoint endpoint,
         return ErrorResponse(
             400, "distinct counting disabled (serve --distinct-k > 0)");
       }
-      queries_distinct_.fetch_add(1, MemOrder::kRelaxed);
+      answered.fetch_add(1, MemOrder::kRelaxed);
       SKETCHSAMPLE_METRIC_INC("service.query.distinct");
       return JsonResponse(200, DistinctResponseJson(*guard, level, fresh));
     }
@@ -769,7 +758,7 @@ HttpResponse SketchService::Handle(Endpoint endpoint,
         return ErrorResponse(400,
                              "quantile query requires ?q=<number in [0, 1]>");
       }
-      queries_quantile_.fetch_add(1, MemOrder::kRelaxed);
+      answered.fetch_add(1, MemOrder::kRelaxed);
       SKETCHSAMPLE_METRIC_INC("service.query.quantile");
       return JsonResponse(200, QuantileResponseJson(*guard, q, level, fresh));
     }
@@ -789,7 +778,7 @@ HttpResponse SketchService::Handle(Endpoint endpoint,
       } catch (const std::invalid_argument& error) {
         return ErrorResponse(400, error.what());
       }
-      queries_subpop_.fetch_add(1, MemOrder::kRelaxed);
+      answered.fetch_add(1, MemOrder::kRelaxed);
       SKETCHSAMPLE_METRIC_INC("service.query.subpop");
       return JsonResponse(200, SubpopResponseJson(*guard, pred, level, fresh));
     }

@@ -58,24 +58,9 @@ struct StreamMoments {
   double m4 = 0;
 };
 
-/// One immutable published view: everything a query needs, by value.
-struct ServiceSnapshot {
-  FagmsSketch sketch;
-  std::optional<KmvSketch> distinct;
-  std::optional<KllSketch> quantile;
-  std::optional<KeyedKmvSketch> subpop;
-  uint64_t position = 0;
-  uint64_t kept = 0;
-  uint64_t sequence = 0;
-  double p = 1.0;
-
-  /// Realized sampling rate p̂ over the covered prefix.
-  double realized_p() const {
-    return position > 0
-               ? static_cast<double>(kept) / static_cast<double>(position)
-               : p;
-  }
-};
+/// One immutable published view: everything a query needs, by value — the
+/// engine's own snapshot type, published as the engine built it.
+using ServiceSnapshot = ShardEngineSnapshot<FagmsSketch>;
 
 /// Query-time freshness context for degraded-mode stamping. Every answer
 /// carries `staleness` (tuples ingested but not yet covered by the snapshot
@@ -193,8 +178,7 @@ class SketchService {
   class Publisher;
 
   void IngestMain();
-  // Publishes a sequence-0 snapshot straight from engine state (initial
-  // empty state; restored state after a resume).
+  // Publishes engine_->Snapshot(): the initial or the restored state.
   void PublishEngineState();
   HttpResponse Handle(Endpoint endpoint, const HttpRequest& request,
                       const RequestContext& context);
@@ -225,12 +209,8 @@ class SketchService {
   std::mutex ingest_mutex_;
   std::map<uint64_t, uint64_t> ingest_next_seq_;
 
-  StdAtomics::Atomic<uint64_t> queries_selfjoin_{0};
-  StdAtomics::Atomic<uint64_t> queries_join_{0};
-  StdAtomics::Atomic<uint64_t> queries_point_{0};
-  StdAtomics::Atomic<uint64_t> queries_distinct_{0};
-  StdAtomics::Atomic<uint64_t> queries_quantile_{0};
-  StdAtomics::Atomic<uint64_t> queries_subpop_{0};
+  // Answered queries per estimate endpoint, indexed by Endpoint.
+  StdAtomics::Atomic<uint64_t> queries_[6];
   StdAtomics::Atomic<uint64_t> degraded_answers_{0};
   StdAtomics::Atomic<uint64_t> deadline_rejected_{0};
   StdAtomics::Atomic<uint64_t> ingest_duplicates_{0};

@@ -142,31 +142,51 @@ void KllSketch::Merge(const KllSketch& other) {
 }
 
 uint64_t KllSketch::EstimateQuantile(double q) const {
-  if (!(q >= 0.0 && q <= 1.0)) {
-    throw std::invalid_argument("quantile rank must be in [0, 1]");
+  return EstimateQuantiles({q}).front();
+}
+
+std::vector<uint64_t> KllSketch::EstimateQuantiles(
+    const std::vector<double>& qs) const {
+  for (const double q : qs) {
+    if (!(q >= 0.0 && q <= 1.0)) {
+      throw std::invalid_argument("quantile rank must be in [0, 1]");
+    }
   }
   if (n_ == 0) {
     throw std::invalid_argument("quantile query on an empty sketch");
   }
-  if (q == 0.0) return min_item_;
-  if (q == 1.0) return max_item_;
   std::vector<std::pair<uint64_t, uint64_t>> items;  // (value, weight)
-  items.reserve(retained());
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    const uint64_t weight = uint64_t{1} << l;
-    for (uint64_t v : levels_[l]) items.emplace_back(v, weight);
+  std::vector<uint64_t> answers;
+  answers.reserve(qs.size());
+  for (const double q : qs) {
+    if (q == 0.0 || q == 1.0) {
+      answers.push_back(q == 0.0 ? min_item_ : max_item_);
+      continue;
+    }
+    if (items.empty()) {  // sorted once, on the first interior rank
+      items.reserve(retained());
+      for (size_t l = 0; l < levels_.size(); ++l) {
+        const uint64_t weight = uint64_t{1} << l;
+        for (uint64_t v : levels_[l]) items.emplace_back(v, weight);
+      }
+      std::sort(items.begin(), items.end());
+    }
+    const double target = q * static_cast<double>(n_);
+    uint64_t target_weight =
+        std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(target)));
+    target_weight = std::min(target_weight, n_);
+    uint64_t answer = max_item_;
+    uint64_t cumulative = 0;
+    for (const auto& [value, weight] : items) {
+      cumulative += weight;
+      if (cumulative >= target_weight) {
+        answer = value;
+        break;
+      }
+    }
+    answers.push_back(answer);
   }
-  std::sort(items.begin(), items.end());
-  const double target = q * static_cast<double>(n_);
-  uint64_t target_weight =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(target)));
-  target_weight = std::min(target_weight, n_);
-  uint64_t cumulative = 0;
-  for (const auto& [value, weight] : items) {
-    cumulative += weight;
-    if (cumulative >= target_weight) return value;
-  }
-  return max_item_;
+  return answers;
 }
 
 double KllSketch::EstimateRank(uint64_t value) const {

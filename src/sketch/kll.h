@@ -52,6 +52,11 @@ class KllSketch {
   /// std::invalid_argument if q is outside [0, 1] or the sketch is empty.
   uint64_t EstimateQuantile(double q) const;
 
+  /// EstimateQuantile for every rank in `qs`, answered from one sorted view
+  /// of the retained items (one sort, however many ranks). Same answers and
+  /// the same throws as calling EstimateQuantile per rank.
+  std::vector<uint64_t> EstimateQuantiles(const std::vector<double>& qs) const;
+
   /// Approximate normalized rank of `value`: fraction of observed items
   /// strictly below it. Returns 0 for an empty sketch.
   double EstimateRank(uint64_t value) const;

@@ -31,9 +31,11 @@ class Writer {
   template <typename T>
   void Put(T value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const size_t offset = bytes_.size();
-    bytes_.resize(offset + sizeof(T));
-    std::memcpy(bytes_.data() + offset, &value, sizeof(T));
+    // Appended byte by byte: GCC 12 misreads resize-then-memcpy (and a
+    // ranged insert) into a small vector as an out-of-bounds write at -O3.
+    uint8_t raw[sizeof(T)];
+    std::memcpy(raw, &value, sizeof(T));
+    for (uint8_t byte : raw) bytes_.push_back(byte);
   }
 
   void PutBytes(const std::vector<uint8_t>& blob) {

@@ -43,27 +43,55 @@ void UpdateInto(SketchT& sketch, const uint64_t* values, size_t n) {
   }
 }
 
-// Deserializes a shard partial as the engine's concrete sketch type
+// Fold cadence for the lanes' quantile buffers (tuples; phase-locked to
+// absolute stream offsets like windows). Bounds per-lane buffer memory; the
+// fold boundary itself has no effect on the KLL state.
+constexpr uint64_t kQuantileFoldEvery = 65536;
+
+// Deserializes a checkpoint blob as the concrete type of its first argument
 // (overload set in place of a traits class).
-AgmsSketch DeserializePartial(const AgmsSketch&,
-                              const std::vector<uint8_t>& blob) {
+using Blob = std::vector<uint8_t>;
+AgmsSketch DeserializePartial(const AgmsSketch&, const Blob& blob) {
   return DeserializeAgms(blob);
 }
-FagmsSketch DeserializePartial(const FagmsSketch&,
-                               const std::vector<uint8_t>& blob) {
+FagmsSketch DeserializePartial(const FagmsSketch&, const Blob& blob) {
   return DeserializeFagms(blob);
 }
-CountMinSketch DeserializePartial(const CountMinSketch&,
-                                  const std::vector<uint8_t>& blob) {
+CountMinSketch DeserializePartial(const CountMinSketch&, const Blob& blob) {
   return DeserializeCountMin(blob);
 }
-FastCountSketch DeserializePartial(const FastCountSketch&,
-                                   const std::vector<uint8_t>& blob) {
+FastCountSketch DeserializePartial(const FastCountSketch&, const Blob& blob) {
   return DeserializeFastCount(blob);
 }
-KmvSketch DeserializePartial(const KmvSketch&,
-                             const std::vector<uint8_t>& blob) {
+KmvSketch DeserializePartial(const KmvSketch&, const Blob& blob) {
   return DeserializeKmv(blob);
+}
+KeyedKmvSketch DeserializePartial(const KeyedKmvSketch&, const Blob& blob) {
+  return DeserializeKmvKeyed(blob);
+}
+KllSketch DeserializePartial(const KllSketch&, const Blob& blob) {
+  return DeserializeKll(blob);
+}
+
+// Decodes one checkpoint blob as `like`'s type and checks it against
+// `like`'s configuration (k, seed, shape). `what` names the blob in the
+// CheckpointError either failure throws.
+template <typename T>
+T DecodeCompatible(const T& like, const Blob& blob, const char* what) {
+  T decoded = [&] {
+    try {
+      return DeserializePartial(like, blob);
+    } catch (const std::invalid_argument& error) {
+      throw CheckpointError(std::string("checkpoint ") + what +
+                            " invalid: " + error.what());
+    }
+  }();
+  if (!like.CompatibleWith(decoded)) {
+    throw CheckpointError(std::string("checkpoint ") + what +
+                          " incompatible with engine configuration "
+                          "(k/seed/shape mismatch)");
+  }
+  return decoded;
 }
 
 }  // namespace
@@ -84,15 +112,75 @@ uint64_t ShardSubpopSeed(uint64_t root_seed) {
   return MixSeed(root_seed, 0x535542504f50'3030ULL);
 }
 
+template <typename SketchT>
+ShardEngine<SketchT>::Summaries::Summaries(const SketchT& prototype,
+                                           const ShardEngineOptions& options)
+    : sketch(prototype) {
+  // KmvSketch validates k >= 2 itself; the derived seeds make each summary
+  // a pure function of (root seed, kept prefix) like everything else.
+  if (options.distinct_k > 0) {
+    distinct.emplace(options.distinct_k, ShardDistinctSeed(options.seed));
+  }
+  if (options.subpop_k > 0) {
+    subpop.emplace(options.subpop_k, ShardSubpopSeed(options.seed));
+  }
+}
+
+template <typename SketchT>
+void ShardEngine<SketchT>::Summaries::Update(const uint64_t* values, size_t n,
+                                             bool sketch_too) {
+  if (n == 0) return;
+  if (distinct.has_value()) UpdateInto(*distinct, values, n);
+  if (subpop.has_value()) UpdateInto(*subpop, values, n);
+  if (sketch_too) UpdateInto(sketch, values, n);
+}
+
+template <typename SketchT>
+void ShardEngine<SketchT>::Summaries::Merge(const Summaries& other) {
+  sketch.Merge(other.sketch);
+  if (distinct.has_value() && other.distinct.has_value()) {
+    distinct->Merge(*other.distinct);
+  }
+  if (subpop.has_value() && other.subpop.has_value()) {
+    subpop->Merge(*other.subpop);
+  }
+}
+
+template <typename SketchT>
+void ShardEngine<SketchT>::Summaries::Encode(
+    ShardCheckpointState& shard) const {
+  shard.sketch = SerializeSketch(sketch);
+  if (distinct.has_value()) shard.distinct = SerializeSketch(*distinct);
+  if (subpop.has_value()) shard.subpop = SerializeSketch(*subpop);
+}
+
+template <typename SketchT>
+void ShardEngine<SketchT>::Summaries::MergeEncoded(
+    const ShardCheckpointState& shard) {
+  // An empty blob is a shard with nothing to add; blobs for a summary this
+  // engine does not keep are ignored.
+  if (distinct.has_value() && !shard.distinct.empty()) {
+    distinct->Merge(
+        DecodeCompatible(*distinct, shard.distinct, "shard distinct blob"));
+  }
+  if (subpop.has_value() && !shard.subpop.empty()) {
+    subpop->Merge(
+        DecodeCompatible(*subpop, shard.subpop, "shard subpop blob"));
+  }
+  if (!shard.sketch.empty()) {
+    sketch.Merge(DecodeCompatible(sketch, shard.sketch, "shard sketch"));
+  }
+}
+
 // One worker lane. The router owns `routed` and only reads the worker-side
-// fields (`seen`, `kept`, `partial`) after a quiesce: it spins until
+// fields (`seen`, `kept`, `partials`) after a quiesce: it spins until
 // `processed` (release-incremented by the worker after each chunk) catches
 // up with `routed`, and that acquire/release pair publishes everything the
 // worker wrote while processing.
 template <typename SketchT>
 struct ShardEngine<SketchT>::Lane {
-  Lane(size_t ring_chunks, size_t chunk_tuples, const SketchT& proto)
-      : work(ring_chunks), recycle(ring_chunks), partial(proto) {
+  Lane(size_t ring_chunks, size_t chunk_tuples, const Summaries& proto)
+      : work(ring_chunks), recycle(ring_chunks), partials(proto) {
     // Data buffers match the ring capacity exactly, so a push to either
     // ring always finds space: every buffer is in exactly one ring or in
     // one thread's hands. The stop sentinel gets its own slot-free buffer
@@ -140,26 +228,13 @@ struct ShardEngine<SketchT>::Lane {
                                       chunk->count, chunk->values.data());
       }
       kept += survivors;
-      if (kmv.has_value()) {
-        // Distinct counting observes the sampled stream itself, before any
-        // fault-injection stage corrupts it — the count answers "how many
-        // distinct values survived the shed", not "what did the faulty sink
-        // see".
-        for (size_t i = 0; i < survivors; ++i) kmv->Update(chunk->values[i]);
-      }
-      if (subpop.has_value()) {
-        // Same pre-fault placement as the distinct counter: subpopulation
-        // weights describe the sampled stream.
-        for (size_t i = 0; i < survivors; ++i) {
-          subpop->Update(chunk->values[i]);
-        }
-      }
-      if (survivors > 0) {
-        if (head != nullptr) {
-          head->OnTuples(chunk->values.data(), survivors);
-        } else {
-          UpdateInto(partial, chunk->values.data(), survivors);
-        }
+      // Distinct and subpop observe the sampled stream itself, before any
+      // fault-injection stage corrupts it — they answer "what survived the
+      // shed", not "what did the faulty sink see". With a fault stage the
+      // primary sketch is fed behind it instead.
+      partials.Update(chunk->values.data(), survivors, head == nullptr);
+      if (head != nullptr && survivors > 0) {
+        head->OnTuples(chunk->values.data(), survivors);
       }
       processed.fetch_add(1, MemOrder::kRelease);
       recycle.TryPush(chunk);
@@ -171,12 +246,7 @@ struct ShardEngine<SketchT>::Lane {
   std::vector<std::unique_ptr<Chunk>> pool;
   Chunk* stop_chunk = nullptr;
 
-  SketchT partial;
-  // Auxiliary distinct partial (engaged iff options.distinct_k > 0); same
-  // ownership discipline as `partial`.
-  std::optional<KmvSketch> kmv;
-  // Keyed-KMV subpopulation partial (engaged iff options.subpop_k > 0).
-  std::optional<KeyedKmvSketch> subpop;
+  Summaries partials;
   // Quantile support: kept (position, value) pairs awaiting the router's
   // position-ordered fold into the engine-level KLL. Worker-owned between
   // quiesces; the router drains it in FoldQuantile.
@@ -185,7 +255,7 @@ struct ShardEngine<SketchT>::Lane {
   uint64_t seen = 0;  // worker-owned; router reads only after a quiesce
   uint64_t kept = 0;
   // Chunks fully processed; the release increment publishes seen/kept/
-  // partial to a router that acquires it.
+  // partials to a router that acquires it.
   alignas(64) StdAtomics::Atomic<uint64_t> processed{0};
   uint64_t routed = 0;  // router-owned
   // Router-owned stash for a buffer popped from `recycle` but not routed
@@ -193,7 +263,7 @@ struct ShardEngine<SketchT>::Lane {
   // the buffer back would make it a second producer and race the worker.
   Chunk* spare = nullptr;
 
-  // Optional push-path fault stage: head -> faults -> sink -> partial.
+  // Optional push-path fault stage: head -> faults -> sink -> sketch.
   std::unique_ptr<Operator> sink;
   std::unique_ptr<FaultInjectingOperator> faults;
   Operator* head = nullptr;
@@ -205,8 +275,8 @@ template <typename SketchT>
 ShardEngine<SketchT>::ShardEngine(const SketchT& prototype,
                                   const ShardEngineOptions& options)
     : options_(options),
-      proto_(prototype),
-      merged_(prototype),
+      proto_(prototype, options),
+      base_(proto_),
       p_(options.shed_p) {
   if (!(options_.shed_p >= 0.0 && options_.shed_p <= 1.0)) {
     throw std::invalid_argument("ShardEngine shed_p must be in [0, 1]");
@@ -217,19 +287,8 @@ ShardEngine<SketchT>::ShardEngine(const SketchT& prototype,
   if (options_.controller != nullptr) {
     p_ = options_.controller->p();
   }
-  if (options_.distinct_k > 0) {
-    // KmvSketch validates k >= 2 itself; the derived seed makes the counter
-    // a pure function of (root seed, kept prefix) like everything else.
-    distinct_.emplace(options_.distinct_k, ShardDistinctSeed(options_.seed));
-  }
   if (options_.quantile_k > 0) {
-    if (options_.quantile_fold_every == 0) {
-      options_.quantile_fold_every = 65536;
-    }
     quantile_.emplace(options_.quantile_k, ShardQuantileSeed(options_.seed));
-  }
-  if (options_.subpop_k > 0) {
-    subpop_.emplace(options_.subpop_k, ShardSubpopSeed(options_.seed));
   }
 }
 
@@ -255,111 +314,40 @@ void ShardEngine<SketchT>::Restore(const PipelineCheckpoint& cp,
   SKETCHSAMPLE_METRIC_INC("engine.shard.restores");
   // Validate everything into locals first; engine state mutates only after
   // the whole checkpoint checks out (a bad blob must not half-restore).
-  SketchT base = proto_;
-  std::optional<KmvSketch> distinct_base;
-  if (distinct_.has_value()) {
-    if (!cp.has_shard_distinct) {
-      throw CheckpointError(
-          "checkpoint has no distinct section but the engine has distinct "
-          "counting enabled; resume would silently drop the counter");
-    }
-    distinct_base.emplace(options_.distinct_k,
-                          ShardDistinctSeed(options_.seed));
+  if (proto_.distinct.has_value() && !cp.has_shard_distinct) {
+    throw CheckpointError(
+        "checkpoint has no distinct section but the engine has distinct "
+        "counting enabled; resume would silently drop the counter");
   }
-  std::optional<KllSketch> quantile_base;
+  std::optional<KllSketch> quantile;
   if (quantile_.has_value()) {
     if (!cp.has_quantile_subpop || cp.quantile.empty()) {
       throw CheckpointError(
           "checkpoint has no quantile sketch but the engine has quantile "
           "queries enabled; resume would silently drop rank state");
     }
-    quantile_base = [&] {
-      try {
-        return DeserializeKll(cp.quantile);
-      } catch (const std::invalid_argument& error) {
-        throw CheckpointError(
-            std::string("checkpoint quantile sketch invalid: ") +
-            error.what());
-      }
-    }();
-    if (!quantile_->CompatibleWith(*quantile_base)) {
-      throw CheckpointError(
-          "checkpoint quantile sketch incompatible with engine "
-          "configuration (quantile_k/seed mismatch)");
-    }
+    quantile = DecodeCompatible(*quantile_, cp.quantile, "quantile sketch");
   }
-  std::optional<KeyedKmvSketch> subpop_base;
-  if (subpop_.has_value()) {
-    if (!cp.has_shard_subpop) {
-      throw CheckpointError(
-          "checkpoint has no subpop section but the engine has "
-          "subpopulation queries enabled; resume would silently drop the "
-          "sketch");
-    }
-    subpop_base.emplace(options_.subpop_k, ShardSubpopSeed(options_.seed));
+  if (proto_.subpop.has_value() && !cp.has_shard_subpop) {
+    throw CheckpointError(
+        "checkpoint has no subpop section but the engine has "
+        "subpopulation queries enabled; resume would silently drop the "
+        "sketch");
   }
+  Summaries base = proto_;
   uint64_t seen = 0;
   uint64_t kept = 0;
   for (const ShardCheckpointState& shard : cp.shards) {
     seen += shard.seen;
     kept += shard.kept;
-    if (distinct_base.has_value() && !shard.distinct.empty()) {
-      KmvSketch partial = [&] {
-        try {
-          return DeserializeKmv(shard.distinct);
-        } catch (const std::invalid_argument& error) {
-          throw CheckpointError(
-              std::string("checkpoint shard distinct blob invalid: ") +
-              error.what());
-        }
-      }();
-      if (!distinct_base->CompatibleWith(partial)) {
-        throw CheckpointError(
-            "checkpoint shard distinct counter incompatible with engine "
-            "configuration (distinct_k/seed mismatch)");
-      }
-      distinct_base->Merge(partial);
-    }
-    if (subpop_base.has_value() && !shard.subpop.empty()) {
-      KeyedKmvSketch partial = [&] {
-        try {
-          return DeserializeKmvKeyed(shard.subpop);
-        } catch (const std::invalid_argument& error) {
-          throw CheckpointError(
-              std::string("checkpoint shard subpop blob invalid: ") +
-              error.what());
-        }
-      }();
-      if (!subpop_base->CompatibleWith(partial)) {
-        throw CheckpointError(
-            "checkpoint shard subpop sketch incompatible with engine "
-            "configuration (subpop_k/seed mismatch)");
-      }
-      subpop_base->Merge(partial);
-    }
-    if (shard.sketch.empty()) continue;
-    SketchT partial = [&] {
-      try {
-        return DeserializePartial(proto_, shard.sketch);
-      } catch (const std::invalid_argument& error) {
-        throw CheckpointError(std::string("checkpoint shard sketch invalid: ") +
-                              error.what());
-      }
-    }();
-    if (!base.CompatibleWith(partial)) {
-      throw CheckpointError(
-          "checkpoint shard sketch incompatible with engine prototype");
-    }
-    base.Merge(partial);
+    base.MergeEncoded(shard);
   }
   if (seen != cp.source_tuples) {
     throw CheckpointError(
         "checkpoint shard counts do not cover the source position");
   }
-  merged_ = std::move(base);
-  if (distinct_base.has_value()) distinct_ = std::move(distinct_base);
-  if (quantile_base.has_value()) quantile_ = std::move(quantile_base);
-  if (subpop_base.has_value()) subpop_ = std::move(subpop_base);
+  base_ = std::move(base);
+  if (quantile.has_value()) quantile_ = std::move(quantile);
   total_seen_ = seen;
   total_kept_ = kept;
   p_ = cp.shard_p;
@@ -384,14 +372,14 @@ void ShardEngine<SketchT>::WriteCheckpoint(
   cp.source_tuples = total;
   cp.has_shards = true;
   cp.shard_p = p_;
-  cp.has_shard_distinct = distinct_.has_value();
-  cp.has_quantile_subpop = quantile_.has_value() || subpop_.has_value();
+  cp.has_shard_distinct = base_.distinct.has_value();
+  cp.has_quantile_subpop = quantile_.has_value() || base_.subpop.has_value();
   if (quantile_.has_value()) {
     // The engine-level KLL already covers the whole kept prefix — the Run
     // loop folds every lane's pending pairs before checkpointing.
     cp.quantile = SerializeSketch(*quantile_);
   }
-  cp.has_shard_subpop = subpop_.has_value();
+  cp.has_shard_subpop = base_.subpop.has_value();
   cp.shards.reserve(lanes.size());
   for (size_t s = 0; s < lanes.size(); ++s) {
     const Lane& lane = *lanes[s];
@@ -400,31 +388,15 @@ void ShardEngine<SketchT>::WriteCheckpoint(
     shard.kept = lane.kept;
     if (s == 0) {
       // The restored base (prior runs / prior shard layouts, already merged
-      // into merged_) rides in shard 0's entry so a second kill-and-resume
+      // into base_) rides in shard 0's entry so a second kill-and-resume
       // still covers the whole prefix.
       shard.seen += total_seen_;
       shard.kept += total_kept_;
-      SketchT with_base = merged_;
-      with_base.Merge(lane.partial);
-      shard.sketch = SerializeSketch(with_base);
-      if (distinct_.has_value()) {
-        KmvSketch kmv_base = *distinct_;
-        if (lane.kmv.has_value()) kmv_base.Merge(*lane.kmv);
-        shard.distinct = SerializeSketch(kmv_base);
-      }
-      if (subpop_.has_value()) {
-        KeyedKmvSketch subpop_base = *subpop_;
-        if (lane.subpop.has_value()) subpop_base.Merge(*lane.subpop);
-        shard.subpop = SerializeSketch(subpop_base);
-      }
+      Summaries with_base = base_;
+      with_base.Merge(lane.partials);
+      with_base.Encode(shard);
     } else {
-      shard.sketch = SerializeSketch(lane.partial);
-      if (lane.kmv.has_value()) {
-        shard.distinct = SerializeSketch(*lane.kmv);
-      }
-      if (lane.subpop.has_value()) {
-        shard.subpop = SerializeSketch(*lane.subpop);
-      }
+      lane.partials.Encode(shard);
     }
     cp.shards.push_back(std::move(shard));
   }
@@ -438,42 +410,26 @@ void ShardEngine<SketchT>::WriteCheckpoint(
 }
 
 template <typename SketchT>
-void ShardEngine<SketchT>::PublishSnapshot(
-    const std::vector<std::unique_ptr<Lane>>& lanes, uint64_t total,
-    ShardEngineStats& stats) {
+ShardEngineSnapshot<SketchT> ShardEngine<SketchT>::BuildSnapshot(
+    const std::vector<std::unique_ptr<Lane>>& lanes, uint64_t total) const {
   // Called with every lane quiesced (or joined), so lane partials and
   // counts are safe to read. The snapshot is fully materialized by value —
-  // copying the merged sketch here is what lets readers drop every lock.
-  ShardEngineSnapshot<SketchT> snap{merged_, {}, {}, {}, 0, 0, 1.0, 0};
+  // copying the base here is what lets readers drop every lock.
+  Summaries merged = base_;
   uint64_t kept = total_kept_;
   for (const auto& lane : lanes) {
-    snap.sketch.Merge(lane->partial);
+    merged.Merge(lane->partials);
     kept += lane->kept;
   }
-  if (distinct_.has_value()) {
-    snap.distinct = *distinct_;
-    for (const auto& lane : lanes) {
-      if (lane->kmv.has_value()) snap.distinct->Merge(*lane->kmv);
-    }
-  }
-  if (quantile_.has_value()) {
-    // Folded through FoldQuantile before every publication, so the copy
-    // already covers the kept prefix up to `total` in position order.
-    snap.quantile = *quantile_;
-  }
-  if (subpop_.has_value()) {
-    snap.subpop = *subpop_;
-    for (const auto& lane : lanes) {
-      if (lane->subpop.has_value()) snap.subpop->Merge(*lane->subpop);
-    }
-  }
-  snap.position = total;
-  snap.kept = kept;
-  snap.p = p_;
-  snap.sequence = ++snapshot_sequence_;
-  ++stats.snapshots;
-  SKETCHSAMPLE_METRIC_INC("engine.shard.snapshots");
-  snapshot_hook_->Publish(std::move(snap));
+  // The KLL is folded through FoldQuantile before every publication, so the
+  // copy already covers the kept prefix up to `total` in position order.
+  return {std::move(merged.sketch), std::move(merged.distinct), quantile_,
+          std::move(merged.subpop), total, kept, 0, p_};
+}
+
+template <typename SketchT>
+ShardEngineSnapshot<SketchT> ShardEngine<SketchT>::Snapshot() const {
+  return BuildSnapshot({}, initial_tuples_);
 }
 
 template <typename SketchT>
@@ -527,17 +483,11 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
     lanes.push_back(
         std::make_unique<Lane>(options_.queue_chunks, chunk_size, proto_));
     Lane& lane = *lanes.back();
-    if (distinct_.has_value()) {
-      lane.kmv.emplace(options_.distinct_k, ShardDistinctSeed(options_.seed));
-    }
-    if (subpop_.has_value()) {
-      lane.subpop.emplace(options_.subpop_k, ShardSubpopSeed(options_.seed));
-    }
     lane.collect_positions = quantile_.has_value();
     if (faulty) {
       lane.sink = std::make_unique<SinkOperator>(
-          [partial = &lane.partial](const uint64_t* values, size_t n) {
-            UpdateInto(*partial, values, n);
+          [sketch = &lane.partials.sketch](const uint64_t* values, size_t n) {
+            UpdateInto(*sketch, values, n);
           });
       lane.faults = std::make_unique<FaultInjectingOperator>(
           lane.sink.get(), *options_.fault_profile,
@@ -576,12 +526,6 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
       if (lane->thread.joinable()) lane->thread.join();
     }
   };
-  // Total kept across the restored base and every lane; quiesced only.
-  auto kept_total = [this, &lanes] {
-    uint64_t kept = total_kept_;
-    for (const auto& lane : lanes) kept += lane->kept;
-    return kept;
-  };
 
   // Absolute stream position; window/checkpoint boundaries are phase-locked
   // to it, so a resumed engine makes the same control decisions at the same
@@ -596,13 +540,21 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   uint64_t next_snapshot =
       snapshotting ? (total / snapshot_every_ + 1) * snapshot_every_
                    : UINT64_MAX;
+  // Hands the hook one snapshot of the base plus `from`'s partials (quiesced
+  // or joined lanes; none once everything is merged into the base).
+  auto publish = [&](const std::vector<std::unique_ptr<Lane>>& from) {
+    ShardEngineSnapshot<SketchT> snap = BuildSnapshot(from, total);
+    snap.sequence = ++snapshot_sequence_;
+    ++stats.snapshots;
+    SKETCHSAMPLE_METRIC_INC("engine.shard.snapshots");
+    snapshot_hook_->Publish(std::move(snap));
+  };
   // Quantile folds get their own phase-locked boundary to bound per-lane
   // buffer memory; checkpoint/snapshot boundaries fold opportunistically
   // on top (the fold point never changes the sketch state).
   const bool qfolding = quantile_.has_value();
   uint64_t next_qfold =
-      qfolding ? (total / options_.quantile_fold_every + 1) *
-                     options_.quantile_fold_every
+      qfolding ? (total / kQuantileFoldEvery + 1) * kQuantileFoldEvery
                : UINT64_MAX;
   // Window deltas measure against the totals at the last tick: controller
   // totals on a resume (checkpoints need not align with windows), realized
@@ -684,7 +636,8 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
 
       if (adaptive && total >= next_window) {
         quiesce();
-        const uint64_t cur_kept = kept_total();
+        uint64_t cur_kept = total_kept_;  // base + every (quiesced) lane
+        for (const auto& l : lanes) cur_kept += l->kept;
         const uint64_t offered = total - window_seen_base;
         const uint64_t kept = cur_kept - window_kept_base;
         window_seen_base = total;
@@ -713,7 +666,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
       if (qfolding && total >= next_qfold) {
         quiesce();
         FoldQuantile(lanes, stats);
-        next_qfold += options_.quantile_fold_every;
+        next_qfold += kQuantileFoldEvery;
       }
       if (checkpointing && total >= next_checkpoint) {
         quiesce();
@@ -724,7 +677,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
       if (snapshotting && total >= next_snapshot) {
         quiesce();
         FoldQuantile(lanes, stats);  // snapshot covers the whole prefix
-        PublishSnapshot(lanes, total, stats);
+        publish(lanes);
         next_snapshot += snapshot_every_;
       }
     }
@@ -753,13 +706,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
     stats.shard_faults.push_back(
         lane->faults != nullptr ? lane->faults->faults_injected() : 0);
     run_kept += lane->kept;
-    merged_.Merge(lane->partial);
-    if (distinct_.has_value() && lane->kmv.has_value()) {
-      distinct_->Merge(*lane->kmv);
-    }
-    if (subpop_.has_value() && lane->subpop.has_value()) {
-      subpop_->Merge(*lane->subpop);
-    }
+    base_.Merge(lane->partials);
     ++stats.merges;
   }
   stats.kept = run_kept;
@@ -770,11 +717,10 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   stats.seconds = timer.ElapsedSeconds();
 
   if (snapshot_hook_ != nullptr) {
-    // Final snapshot: everything is folded into merged_/distinct_ now, so
-    // publish from the engine state with no lanes to fold (also covers
+    // Final snapshot: everything is folded into base_ now, so publish from
+    // the engine state with no lanes to fold (also covers
     // SetSnapshotHook(hook, 0) — publish-at-end-only).
-    const std::vector<std::unique_ptr<Lane>> no_lanes;
-    PublishSnapshot(no_lanes, total, stats);
+    publish({});
   }
 
   SKETCHSAMPLE_METRIC_ADD("engine.shard.tuples", stats.tuples);

@@ -13,6 +13,15 @@
 // state), and a final merge stage folds the partials through the sketches'
 // Merge path.
 //
+// Two merge disciplines, and no third:
+//   * Lane union: the primary sketch, distinct KMV and keyed-KMV subpop
+//     sketch merge exactly (counter sums, bottom-k unions), so each lane
+//     keeps its own partials, held in one set type (Summaries) from lane
+//     setup through checkpoint, restore, snapshot and the final merge.
+//   * Position-ordered fold: KLL compaction is order-dependent, so lanes
+//     buffer kept (position, value) pairs and the router replays them into
+//     one engine-level sketch in stream order.
+//
 // Determinism at any shard count: the shed decision for the tuple at
 // absolute position i is a pure function of (root seed, i, p), so every
 // routing of the stream across shards keeps exactly the same tuples; and
@@ -32,10 +41,10 @@
 //
 // Checkpoint/recovery: at quiesced chunk boundaries (router waits until
 // every routed chunk is processed) the engine snapshots per-shard state —
-// realized counts plus each partial sketch — into the checkpoint's
-// shard section (src/stream/checkpoint.h, flag bit 2). Restore merges all
-// shard partials into the engine's base sketch, so a kill-and-resume is
-// bit-exact even when the resumed engine runs a different shard count. The
+// realized counts, each lane's union partials and the folded KLL — into
+// the checkpoint's shard section (src/stream/checkpoint.h, flag bits 2-4).
+// Restore merges all shard partials into the engine's base, so a
+// kill-and-resume is bit-exact even at a different shard count. The
 // positional sampler is stateless, so no RNG state needs checkpointing.
 #ifndef SKETCHSAMPLE_STREAM_SHARD_ENGINE_H_
 #define SKETCHSAMPLE_STREAM_SHARD_ENGINE_H_
@@ -90,12 +99,11 @@ struct ShardEngineOptions {
   /// stream.faults.injected stays the exact sum of the per-shard counters.
   const FaultProfile* fault_profile = nullptr;
   uint64_t fault_seed = 0;
-  /// Auxiliary distinct counting: when > 0 every worker lane keeps a
-  /// KmvSketch(distinct_k, ShardDistinctSeed(seed)) over exactly the tuples
-  /// surviving the positional shed (before fault injection, so the count
-  /// describes the sampled stream, not the corrupted one). Partials merge
-  /// like the primary sketch — same seed at any shard count gives the same
-  /// union — and ride in checkpoint flag-bit-3 blobs.
+  /// Distinct counting: when > 0 each lane keeps a lane-union
+  /// KmvSketch(distinct_k, ShardDistinctSeed(seed)) over the tuples
+  /// surviving the positional shed, before fault injection (the count
+  /// describes the sampled stream, not the corrupted one). Checkpoint flag
+  /// bit 3.
   size_t distinct_k = 0;
   /// Quantile queries: when > 0 the engine maintains one KllSketch
   /// (quantile_k, ShardQuantileSeed(seed)) over the kept stream. KLL
@@ -106,16 +114,10 @@ struct ShardEngineOptions {
   /// boundaries. The KLL state is then a pure function of the kept prefix
   /// in stream order — identical at any shard count, chunking, or resume.
   size_t quantile_k = 0;
-  /// Fold cadence for the quantile buffers (tuples; phase-locked to
-  /// absolute stream offsets like windows). Bounds per-lane buffer memory;
-  /// the fold boundary itself has no effect on the final sketch state.
-  uint64_t quantile_fold_every = 65536;
-  /// Subpopulation queries: when > 0 every worker lane keeps a
-  /// KeyedKmvSketch(subpop_k, ShardSubpopSeed(seed)) over the tuples
-  /// surviving the positional shed (before fault injection, like
-  /// distinct_k). Keyed bottom-k merges are exact (see src/sketch/kmv.h),
-  /// so partials union bit-exactly at any shard count and ride in
-  /// checkpoint flag-bit-4 blobs.
+  /// Subpopulation queries: when > 0 each lane keeps a lane-union
+  /// KeyedKmvSketch(subpop_k, ShardSubpopSeed(seed)), fed like distinct_k
+  /// (keyed bottom-k merges are exact, src/sketch/kmv.h). Checkpoint flag
+  /// bit 4.
   size_t subpop_k = 0;
 };
 
@@ -133,7 +135,8 @@ uint64_t ShardSubpopSeed(uint64_t root_seed);
 /// everything a query needs — the merged sketch over the kept prefix, the
 /// optional distinct counter, and the realized counts the Prop 13/14
 /// corrections scale by. Self-contained by value: readers on other threads
-/// must never chase pointers into the live engine.
+/// must never chase pointers into the live engine. The service publishes
+/// this type as is (ServiceSnapshot, src/service/service.h).
 template <typename SketchT>
 struct ShardEngineSnapshot {
   SketchT sketch;                      ///< base + every lane partial, merged
@@ -142,8 +145,15 @@ struct ShardEngineSnapshot {
   std::optional<KeyedKmvSketch> subpop;  ///< set iff options.subpop_k > 0
   uint64_t position = 0;  ///< absolute stream offset the snapshot covers
   uint64_t kept = 0;      ///< tuples surviving the shed up to `position`
+  uint64_t sequence = 0;  ///< 1-based publication counter (0: engine state)
   double p = 1.0;         ///< shed rate in force when the snapshot was cut
-  uint64_t sequence = 0;  ///< 1-based publication counter
+
+  /// Realized sampling rate p̂ over the covered prefix.
+  double realized_p() const {
+    return position > 0
+               ? static_cast<double>(kept) / static_cast<double>(position)
+               : p;
+  }
 };
 
 /// Receives engine snapshots. Publish is called on the router thread (the
@@ -214,7 +224,7 @@ class ShardEngine {
 
   /// The merged sketch: restored base plus every partial folded in. Valid
   /// after Run (before the first Run: just the restored/prototype state).
-  const SketchT& merged() const { return merged_; }
+  const SketchT& merged() const { return base_.sketch; }
 
   /// Current keep-probability of the positional shed stage.
   double p() const { return p_; }
@@ -223,18 +233,15 @@ class ShardEngine {
   uint64_t total_seen() const { return total_seen_; }
   uint64_t total_kept() const { return total_kept_; }
 
-  /// The merged auxiliary distinct counter (set iff options.distinct_k > 0);
-  /// same validity window as merged().
-  const std::optional<KmvSketch>& distinct() const { return distinct_; }
-
-  /// The engine-level KLL quantile sketch (set iff options.quantile_k > 0),
-  /// fed with the kept stream in position order; same validity window as
-  /// merged().
+  /// The merged distinct and subpop sketches and the position-ordered KLL,
+  /// each set iff its options.*_k > 0; same validity window as merged().
+  const std::optional<KmvSketch>& distinct() const { return base_.distinct; }
   const std::optional<KllSketch>& quantile() const { return quantile_; }
+  const std::optional<KeyedKmvSketch>& subpop() const { return base_.subpop; }
 
-  /// The merged keyed-KMV subpopulation sketch (set iff
-  /// options.subpop_k > 0); same validity window as merged().
-  const std::optional<KeyedKmvSketch>& subpop() const { return subpop_; }
+  /// The engine state outside a run (restored, or merged after Run) as a
+  /// sequence-0 snapshot, built by the same code as every published one.
+  ShardEngineSnapshot<SketchT> Snapshot() const;
 
   /// Registers a snapshot consumer: every `every_tuples` routed tuples (at
   /// the next quiesced chunk boundary, phase-locked to absolute stream
@@ -246,16 +253,35 @@ class ShardEngine {
                        uint64_t every_tuples);
 
  private:
-  struct Lane;  // worker lane: rings, thread, partial sketch (shard_engine.cc)
+  struct Lane;  // worker lane: rings, thread, partials (shard_engine.cc)
+
+  // The lane-union summaries (see file comment): one type for each lane's
+  // partials, the restored/merged base, checkpoint shard encode/decode and
+  // snapshot build. Members are defined in shard_engine.cc.
+  struct Summaries {
+    Summaries(const SketchT& prototype, const ShardEngineOptions& options);
+    // Feeds survivors to distinct/subpop, and to the sketch unless a fault
+    // stage sits in front of it.
+    void Update(const uint64_t* values, size_t n, bool sketch_too);
+    void Merge(const Summaries& other);
+    void Encode(ShardCheckpointState& shard) const;
+    // Decodes, checks and merges a shard entry's blobs; a bad one throws a
+    // CheckpointError that names it.
+    void MergeEncoded(const ShardCheckpointState& shard);
+
+    SketchT sketch;
+    std::optional<KmvSketch> distinct;
+    std::optional<KeyedKmvSketch> subpop;
+  };
 
   // Builds one checkpoint at absolute position `total` from quiesced lanes.
   void WriteCheckpoint(const std::vector<std::unique_ptr<Lane>>& lanes,
                        uint64_t total, ShardEngineStats& stats) const;
 
-  // Builds one snapshot at absolute position `total` from quiesced lanes
-  // and hands it to the hook.
-  void PublishSnapshot(const std::vector<std::unique_ptr<Lane>>& lanes,
-                       uint64_t total, ShardEngineStats& stats);
+  // Builds a sequence-0 snapshot at absolute position `total`: one copy of
+  // the base, every quiesced lane's partials merged in, then moves only.
+  ShardEngineSnapshot<SketchT> BuildSnapshot(
+      const std::vector<std::unique_ptr<Lane>>& lanes, uint64_t total) const;
 
   // Drains every lane's buffered (position, value) pairs into the
   // engine-level KLL in ascending position order. Lanes must be quiesced
@@ -264,21 +290,15 @@ class ShardEngine {
                     ShardEngineStats& stats);
 
   ShardEngineOptions options_;
-  SketchT proto_;    // clean prototype for worker partials
-  SketchT merged_;   // restored base, then the final merged result
+  Summaries proto_;  // clean prototype for lane partials
+  Summaries base_;   // restored base, then the final merged result
   double p_;
   uint64_t initial_tuples_ = 0;  // absolute position Run continues from
   uint64_t total_seen_ = 0;
   uint64_t total_kept_ = 0;
-  // Auxiliary distinct counter: restored base + folded lane partials
-  // (mirrors merged_). Engaged iff options.distinct_k > 0.
-  std::optional<KmvSketch> distinct_;
   // Engine-level quantile sketch, fed in position order by FoldQuantile.
   // Engaged iff options.quantile_k > 0.
   std::optional<KllSketch> quantile_;
-  // Keyed-KMV subpopulation sketch: restored base + folded lane partials
-  // (mirrors distinct_). Engaged iff options.subpop_k > 0.
-  std::optional<KeyedKmvSketch> subpop_;
   ShardSnapshotHook<SketchT>* snapshot_hook_ = nullptr;
   uint64_t snapshot_every_ = 0;
   uint64_t snapshot_sequence_ = 0;

@@ -12,6 +12,7 @@
 #include "src/service/admission.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -259,6 +260,13 @@ TEST(AdmissionConcurrencyTest, AdmissionVsIngestRaceKeepsBooksConsistent) {
   }
   service.CloseIngest();
   while (!service.ingest_done()) std::this_thread::yield();
+  // The pushes can finish before any query thread is scheduled; give the
+  // queries a bounded chance to answer before stopping them.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (answered.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   stop.store(true, std::memory_order_release);
   for (std::thread& t : threads) t.join();
 

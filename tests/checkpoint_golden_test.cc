@@ -7,6 +7,7 @@
 //   v1_shards.skcp           bit 2            (shard section)
 //   v1_shard_distinct.skcp   bits 2|3         (per-shard KMV distinct blobs)
 //   v1_quantile_subpop.skcp  bits 2|3|4       (KLL + keyed-KMV subpop)
+//   v1_engine_summaries.skcp bits 2|3|4       (written by ShardEngine itself)
 //
 // Each golden is regenerated in-process from a deterministic recipe and
 // must match the committed file byte for byte; deserializing the file and
@@ -35,6 +36,8 @@
 #include "src/sketch/kmv.h"
 #include "src/sketch/serialize.h"
 #include "src/stream/checkpoint.h"
+#include "src/stream/shard_engine.h"
+#include "src/stream/source.h"
 #include "src/util/crc32.h"
 #include "src/util/rng.h"
 
@@ -175,6 +178,39 @@ PipelineCheckpoint QuantileSubpopCheckpoint() {
   return cp;
 }
 
+// The engine's own checkpoint rather than a hand-built one: 3 shards at
+// shed_p = 0.5 with every summary on, so the golden pins what the engine
+// encodes per lane (sketch, distinct and subpop partials, the folded KLL),
+// not just the framing.
+ShardEngineOptions EngineSummariesOptions(size_t shards) {
+  ShardEngineOptions opts;
+  opts.shards = shards;
+  opts.chunk_tuples = 256;
+  opts.shed_p = 0.5;
+  opts.seed = 77;
+  opts.distinct_k = 8;
+  opts.quantile_k = 16;
+  opts.subpop_k = 8;
+  return opts;
+}
+
+std::vector<uint64_t> EngineSummariesStream() {
+  std::vector<uint64_t> values;
+  for (uint64_t i = 0; i < 6000; ++i) values.push_back(MixSeed(9, i) % 499);
+  return values;
+}
+
+PipelineCheckpoint EngineSummariesCheckpoint() {
+  LatestCheckpointSink sink;
+  ShardEngineOptions opts = EngineSummariesOptions(3);
+  opts.checkpoint_sink = &sink;
+  opts.checkpoint_every = 2500;  // the last checkpoint is cut at 5000
+  ShardEngine<FagmsSketch> engine(MakeFagms(0, 0), opts);
+  VectorSource source(EngineSummariesStream());
+  engine.Run(source);
+  return DeserializeCheckpoint(sink.bytes());
+}
+
 struct GoldenCase {
   const char* file;
   PipelineCheckpoint (*make)();
@@ -186,6 +222,7 @@ const GoldenCase kGoldens[] = {
     {"v1_shards.skcp", ShardCheckpoint},
     {"v1_shard_distinct.skcp", ShardDistinctCheckpoint},
     {"v1_quantile_subpop.skcp", QuantileSubpopCheckpoint},
+    {"v1_engine_summaries.skcp", EngineSummariesCheckpoint},
 };
 
 bool WriteGoldenMode() {
@@ -279,6 +316,37 @@ TEST(CheckpointGoldenTest, EmbeddedBlobsLoadThroughTypedDeserializers) {
       EXPECT_EQ(got_entries[i].key, want_entries[i].key);
       EXPECT_EQ(got_entries[i].weight, want_entries[i].weight);
     }
+  }
+}
+
+// The engine golden resumes at any shard count into exactly the state of
+// the uninterrupted run: every lane-merged summary and the folded KLL.
+TEST(CheckpointGoldenTest, EngineSummariesGoldenResumesAtAnyShardCount) {
+  const std::vector<uint64_t> stream = EngineSummariesStream();
+  const auto summary_bytes = [](const ShardEngine<FagmsSketch>& engine) {
+    return std::vector<std::vector<uint8_t>>{
+        SerializeSketch(engine.merged()),
+        SerializeSketch(*engine.distinct()),
+        SerializeSketch(*engine.quantile()),
+        SerializeSketch(*engine.subpop())};
+  };
+  ShardEngine<FagmsSketch> uninterrupted(MakeFagms(0, 0),
+                                         EngineSummariesOptions(3));
+  VectorSource full(stream);
+  ASSERT_TRUE(uninterrupted.Run(full).ended);
+
+  const PipelineCheckpoint cp = DeserializeCheckpoint(
+      ReadFileBytes(GoldenPath("v1_engine_summaries.skcp")));
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(shards);
+    ShardEngine<FagmsSketch> resumed(MakeFagms(0, 0),
+                                     EngineSummariesOptions(shards));
+    VectorSource source(stream);
+    resumed.Restore(cp, source);
+    ASSERT_TRUE(resumed.Run(source).ended);
+    EXPECT_EQ(summary_bytes(resumed), summary_bytes(uninterrupted));
+    EXPECT_EQ(resumed.total_seen(), uninterrupted.total_seen());
+    EXPECT_EQ(resumed.total_kept(), uninterrupted.total_kept());
   }
 }
 

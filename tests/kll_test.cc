@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/data/zipf.h"
@@ -109,6 +110,47 @@ TEST(KllTest, MedianWithinRankError) {
   const double rank = static_cast<double>(sketch.EstimateQuantile(0.5)) /
                       static_cast<double>(kN);
   EXPECT_NEAR(rank, 0.5, 0.05);
+}
+
+// Several ranks answered from one sorted view equal one call per rank, and
+// both equal a weighted walk over the sorted levels done here from scratch.
+TEST(KllTest, MultiRankAnswersEqualPerRankCalls) {
+  std::vector<double> sweep;
+  for (int i = 0; i <= 40; ++i) sweep.push_back(i / 40.0);  // 0 and 1 included
+  sweep.push_back(1e-9);
+  sweep.push_back(1.0 - 1e-9);
+  for (size_t n : {size_t{1}, size_t{100}, size_t{50000}}) {
+    const KllSketch sketch = Build(Values(n, 3), 32, 9);
+    std::vector<std::pair<uint64_t, uint64_t>> items;
+    for (size_t l = 0; l < sketch.levels().size(); ++l) {
+      for (uint64_t v : sketch.levels()[l]) items.emplace_back(v, 1ULL << l);
+    }
+    std::sort(items.begin(), items.end());
+    const std::vector<uint64_t> answers = sketch.EstimateQuantiles(sweep);
+    ASSERT_EQ(answers.size(), sweep.size());
+    for (size_t i = 0; i < sweep.size(); ++i) {
+      const double q = sweep[i];
+      EXPECT_EQ(answers[i], sketch.EstimateQuantile(q)) << n << " q=" << q;
+      uint64_t want = q == 0.0 ? sketch.min_item() : sketch.max_item();
+      const uint64_t target = std::min<uint64_t>(
+          std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(
+                                    q * static_cast<double>(sketch.n())))),
+          sketch.n());
+      uint64_t cumulative = 0;
+      for (size_t j = 0; q > 0.0 && q < 1.0 && j < items.size(); ++j) {
+        cumulative += items[j].second;
+        if (cumulative >= target) {
+          want = items[j].first;
+          break;
+        }
+      }
+      EXPECT_EQ(answers[i], want) << n << " q=" << q;
+    }
+  }
+  const KllSketch sketch = Build(Values(100, 3), 32, 9);
+  EXPECT_THROW(sketch.EstimateQuantiles({0.5, 1.5}), std::invalid_argument);
+  EXPECT_THROW(KllSketch(32, 9).EstimateQuantiles({0.5}),
+               std::invalid_argument);
 }
 
 TEST(KllTest, CompactionPointsMatchRescanningReference) {

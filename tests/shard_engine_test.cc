@@ -23,6 +23,7 @@
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
 #include "src/sketch/fastcount.h"
+#include "src/sketch/kll.h"
 #include "src/sketch/kmv.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/faults.h"
@@ -608,20 +609,29 @@ TEST(ShardEngineSnapshotTest, SnapshotsAreBitExactAcrossShardCounts) {
 }
 
 TEST(ShardEngineTest, DistinctCounterMatchesDirectKmvOverKeptStream) {
-  // With shed_p = 1 every tuple survives, so the engine's distinct counter
-  // must equal a KMV built directly over the whole stream with the derived
-  // seed — at any shard count.
+  // With shed_p = 1 every tuple survives, so each summary must equal one
+  // built directly over the whole stream in order with the derived seed —
+  // at any shard count: the lane-merged distinct and subpop partials union
+  // exactly, and the KLL fold replays the stream in position order.
   const std::vector<uint64_t> values = MakeStream(30000, 17, 2000);
   KmvSketch direct(64, ShardDistinctSeed(kRootSeed));
-  for (uint64_t v : values) direct.Update(v);
+  KeyedKmvSketch direct_subpop(48, ShardSubpopSeed(kRootSeed));
+  KllSketch direct_quantile(32, ShardQuantileSeed(kRootSeed));
+  for (uint64_t v : values) {
+    direct.Update(v);
+    direct_subpop.Update(v);
+    direct_quantile.Update(v);
+  }
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
     ShardEngineOptions opts;
     opts.shards = shards;
     opts.shed_p = 1.0;
     opts.seed = kRootSeed;
     opts.chunk_tuples = 512;
     opts.distinct_k = 64;
+    opts.subpop_k = 48;
+    opts.quantile_k = 32;
     ShardEngine<FagmsSketch> engine(FagmsSketch(SmallParams()), opts);
     ASSERT_TRUE(RunEngine(engine, values).ended);
     ASSERT_TRUE(engine.distinct().has_value()) << shards;
@@ -629,6 +639,14 @@ TEST(ShardEngineTest, DistinctCounterMatchesDirectKmvOverKeptStream) {
         << shards;
     EXPECT_DOUBLE_EQ(engine.distinct()->EstimateDistinct(),
                      direct.EstimateDistinct())
+        << shards;
+    ASSERT_TRUE(engine.subpop().has_value()) << shards;
+    EXPECT_EQ(SerializeSketch(*engine.subpop()),
+              SerializeSketch(direct_subpop))
+        << shards;
+    ASSERT_TRUE(engine.quantile().has_value()) << shards;
+    EXPECT_EQ(SerializeSketch(*engine.quantile()),
+              SerializeSketch(direct_quantile))
         << shards;
   }
 }
